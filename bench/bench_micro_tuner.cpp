@@ -5,9 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "bench_util.h"
 #include "hv/hv_store.h"
-#include "optimizer/whatif_cache.h"
 #include "tuner/benefit.h"
 #include "tuner/interaction.h"
 #include "tuner/knapsack.h"
@@ -122,76 +123,74 @@ tuner::MisoTunerConfig PaperBudgets() {
   return config;
 }
 
+/// "hit_rate=" label: the share of `tuner`'s probe-level lookups its
+/// what-if memo answered.
+void LabelHitRate(benchmark::State& state, const tuner::MisoTuner& tuner) {
+  const optimizer::WhatIfCache::Stats stats = tuner.whatif_stats();
+  const double total = static_cast<double>(stats.hits + stats.misses);
+  state.SetLabel("hit_rate=" +
+                 std::to_string(total > 0 ? stats.hits / total : 0.0));
+}
+
+// One cold tuning pass: a fresh tuner per iteration, so both levels of its
+// what-if memo start empty and every probe is paid at the optimizer.
 void BM_FullTuningPass(benchmark::State& state) {
   TunerFixture& f = Fixture();
-  tuner::MisoTuner tuner(&f.optimizer, PaperBudgets());
   for (auto _ : state) {
+    tuner::MisoTuner tuner(&f.optimizer, PaperBudgets());
     auto plan = tuner.Tune(f.hv_catalog, f.dw_catalog, f.window);
     benchmark::DoNotOptimize(plan);
   }
 }
 BENCHMARK(BM_FullTuningPass);
 
-// The cold pass above vs the same pass answered from a warmed what-if
-// cache: the gap is the optimizer work the cache retires when successive
-// reorganizations see the same (window, candidates, placement) probes.
+// The cold pass above vs the same pass through one persistent tuner whose
+// memo an untimed pass warmed: the gap is the optimizer work the memo
+// retires when successive reorganizations see the same (window,
+// candidates, placement) probes.
 void BM_FullTuningPassWarmCache(benchmark::State& state) {
   TunerFixture& f = Fixture();
   tuner::MisoTuner tuner(&f.optimizer, PaperBudgets());
-  optimizer::WhatIfCache cache;
-  cache.SetEpoch(optimizer::WhatIfCache::EpochOf(
-      hv::HvConfig{}, dw::DwConfig{}, transfer::TransferConfig{}));
-  tuner.set_whatif_cache(&cache);
-  // One untimed pass fills the cache; the timed passes are all hits.
   benchmark::DoNotOptimize(tuner.Tune(f.hv_catalog, f.dw_catalog, f.window));
   for (auto _ : state) {
     auto plan = tuner.Tune(f.hv_catalog, f.dw_catalog, f.window);
     benchmark::DoNotOptimize(plan);
   }
-  const optimizer::WhatIfCache::Stats stats = cache.GetStats();
-  const double total = static_cast<double>(stats.hits + stats.misses);
-  state.SetLabel("hit_rate=" +
-                 std::to_string(total > 0 ? stats.hits / total : 0.0));
+  LabelHitRate(state, tuner);
 }
 BENCHMARK(BM_FullTuningPassWarmCache);
 
 /// A reorg cadence: three Tune calls over sliding 6-query windows (stride
 /// 1 over the 8 harvested queries), as the simulator issues them every j
-/// queries. `warm_cache` selects whether one persistent cache survives
-/// the whole cadence (the simulator's arrangement) or every probe is paid
-/// at the optimizer.
-void RunReorgCadence(benchmark::State& state, bool warm_cache) {
+/// queries, all through one tuner (hence one memo). `warm` selects whether
+/// that tuner persists across iterations (the simulator's arrangement:
+/// one tuner per run) or is built fresh per iteration, so every iteration
+/// starts with both memo levels empty.
+void RunReorgCadence(benchmark::State& state, bool warm) {
   TunerFixture& f = Fixture();
-  tuner::MisoTuner tuner(&f.optimizer, PaperBudgets());
-  optimizer::WhatIfCache cache;
-  cache.SetEpoch(optimizer::WhatIfCache::EpochOf(
-      hv::HvConfig{}, dw::DwConfig{}, transfer::TransferConfig{}));
-  if (warm_cache) tuner.set_whatif_cache(&cache);
+  std::optional<tuner::MisoTuner> tuner;
+  if (warm) tuner.emplace(&f.optimizer, PaperBudgets());
   constexpr int kWindow = 6;
   for (auto _ : state) {
+    if (!warm) tuner.emplace(&f.optimizer, PaperBudgets());
     for (size_t start = 0; start + kWindow <= f.window.size(); ++start) {
       const std::vector<plan::Plan> window(
           f.window.begin() + static_cast<std::ptrdiff_t>(start),
           f.window.begin() + static_cast<std::ptrdiff_t>(start + kWindow));
-      auto plan = tuner.Tune(f.hv_catalog, f.dw_catalog, window);
+      auto plan = tuner->Tune(f.hv_catalog, f.dw_catalog, window);
       benchmark::DoNotOptimize(plan);
     }
   }
-  if (warm_cache) {
-    const optimizer::WhatIfCache::Stats stats = cache.GetStats();
-    const double total = static_cast<double>(stats.hits + stats.misses);
-    state.SetLabel("hit_rate=" +
-                   std::to_string(total > 0 ? stats.hits / total : 0.0));
-  }
+  if (warm) LabelHitRate(state, *tuner);
 }
 
 void BM_ReorgCadenceColdCache(benchmark::State& state) {
-  RunReorgCadence(state, /*warm_cache=*/false);
+  RunReorgCadence(state, /*warm=*/false);
 }
 BENCHMARK(BM_ReorgCadenceColdCache);
 
 void BM_ReorgCadenceWarmCache(benchmark::State& state) {
-  RunReorgCadence(state, /*warm_cache=*/true);
+  RunReorgCadence(state, /*warm=*/true);
 }
 BENCHMARK(BM_ReorgCadenceWarmCache);
 

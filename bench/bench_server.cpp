@@ -45,7 +45,9 @@ std::vector<workload::WorkloadQuery> CycledSessions(int n) {
 }
 
 /// One full serve of `kSessions` cycled paper-workload sessions.
-/// Args: {wave_size, online_reorg, MISO_THREADS}.
+/// Args: {wave_size, online_reorg, MISO_THREADS}. Session latency is
+/// reported at p95: one serve yields only `kSessions` samples, too few
+/// for a stable p99 (its top 1% is two or three sessions).
 void BM_ServerServe(benchmark::State& state) {
   const int wave_size = static_cast<int>(state.range(0));
   const bool online = state.range(1) != 0;
@@ -55,7 +57,8 @@ void BM_ServerServe(benchmark::State& state) {
   setenv("MISO_THREADS", buf, /*overwrite=*/1);
 
   const std::vector<workload::WorkloadQuery> queries = CycledSessions(kSessions);
-  double p99_ms = 0;
+  double p95_ms = 0;
+  double latency_samples = 0;
   double overlap_saved_s = 0;
   for (auto _ : state) {
     server::ServerConfig config;
@@ -99,7 +102,8 @@ void BM_ServerServe(benchmark::State& state) {
     benchmark::DoNotOptimize(report->Tti());
     overlap_saved_s = report->reorg_overlap_saved_s;
     std::sort(latencies_ms.begin(), latencies_ms.end());
-    p99_ms = latencies_ms[latencies_ms.size() * 99 / 100];
+    p95_ms = latencies_ms[latencies_ms.size() * 95 / 100];
+    latency_samples = static_cast<double>(latencies_ms.size());
   }
   unsetenv("MISO_THREADS");
 
@@ -107,7 +111,8 @@ void BM_ServerServe(benchmark::State& state) {
   state.counters["sessions_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * kSessions,
       benchmark::Counter::kIsRate);
-  state.counters["p99_session_ms"] = p99_ms;
+  state.counters["p95_session_ms"] = p95_ms;
+  state.counters["latency_samples"] = latency_samples;
   state.counters["overlap_saved_sim_s"] = overlap_saved_s;
   state.SetLabel(std::string(online ? "online" : "stop-the-world") +
                  " wave=" + std::to_string(wave_size) +

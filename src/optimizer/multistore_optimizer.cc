@@ -39,7 +39,7 @@ struct WhatIfScope {
 constexpr ParallelForOptions kCostingBatch{/*grain=*/16};
 
 /// Structural identity of a (possibly rewritten) plan tree for the
-/// `WhatIfSession` memo. Covers, per node, every field the split
+/// what-if memo's variant level. Covers, per node, every field the split
 /// enumerator and the cost models read — operator kind, the canonical
 /// subexpression signature, output stats, DW-executability, the ViewScan
 /// content signature and store, UDF cost parameters, and the filter
@@ -411,61 +411,24 @@ Result<Seconds> MultistoreOptimizer::WhatIfCost(
   return best.cost.Total();
 }
 
-Result<Seconds> MultistoreOptimizer::SessionBestSplitTotal(
-    const plan::Plan& executed, WhatIfSession* session) const {
-  const uint64_t key = StructuralPlanHash(executed.root());
-  MutexLock lock(session->mu_);
-  const auto it = session->best_split_totals_.find(key);
-  if (it != session->best_split_totals_.end()) return it->second;
-  // Solve under the lock: each key is enumerated and costed exactly once
-  // per session regardless of thread count, so the optimizer's costing
-  // counters stay deterministic. Deadlock-free: a worker holding the lock
-  // runs BestSplit's nested ParallelFor inline (pool nesting detection),
-  // and a non-worker caller never holds the lock while waiting on pool
-  // futures it could starve — other probes merely queue behind the lock.
-  Result<MultistorePlan> best = BestSplit(executed);
-  const Result<Seconds> total = best.ok() ? Result<Seconds>(best->cost.Total())
-                                          : Result<Seconds>(best.status());
-  // Sessions may be tuner-lifetime (a long-running server re-tunes
-  // indefinitely); bound the memo by resetting when full — always safe for
-  // a pure memo, and one reorg's worth of distinct variants is hundreds.
-  if (session->best_split_totals_.size() >= WhatIfSession::kMaxEntries) {
-    session->best_split_totals_.clear();
-  }
-  session->best_split_totals_.emplace(key, total);
-  return total;
-}
-
 Result<Seconds> MultistoreOptimizer::WhatIfCost(
     const plan::Plan& query, const views::ViewCatalog& dw_views,
-    const views::ViewCatalog& hv_views,
-    WhatIfSession* session) const {
+    const views::ViewCatalog& hv_views, WhatIfCache* memo) const {
   // The verified path re-checks every winning probe plan against the probe
   // catalogs; a memo hit has no plan to verify, so verification builds use
   // the plain path (and get the plain path's exact behavior).
-  if (session == nullptr || verify::Enabled()) {
+  if (verify::Enabled()) {
     return WhatIfCost(query, dw_views, hv_views);
   }
   WhatIfScope probe;  // suppress per-probe plan_choice trace lines
   if (obs::MetricsOn()) {
     obs::Metrics().GetCounter(obs::names::kWhatIfProbes)->Increment();
   }
-  // Probe-level memo: the answer is a pure function of (query tree, DW
-  // catalog content, HV catalog content), so a repeat probe — typical
-  // across successive tuning passes sharing window and candidates — skips
-  // even the rewrites.
-  const uint64_t probe_key = HashCombine(
-      query.signature(), HashCombine(dw_views.ContentFingerprint(),
-                                     hv_views.ContentFingerprint()));
-  {
-    MutexLock lock(session->mu_);
-    const auto it = session->probe_totals_.find(probe_key);
-    if (it != session->probe_totals_.end()) return it->second;
-  }
   // Same variant set and reduction as Optimize; only the total of each
   // variant's best split is needed, and that total is a pure function of
-  // the variant tree, so each resolves through the session memo. Variants
-  // provably identical to another are skipped before even rewriting:
+  // the variant tree, so each resolves through the memo's variant level.
+  // Variants provably identical to another are skipped before even
+  // rewriting:
   //  - an empty catalog never matches (`TryStore` finds nothing), so its
   //    single-store rewrite is the bare query, and the combined rewrite
   //    collapses to the other store's single-store rewrite;
@@ -513,24 +476,20 @@ Result<Seconds> MultistoreOptimizer::WhatIfCost(
   }
   Result<Seconds> best = Status::Internal("optimizer produced no plan");
   for (int v = 0; v < num_variants; ++v) {
-    Result<Seconds> total = SessionBestSplitTotal(*variants[v], session);
+    const plan::Plan& variant = *variants[v];
+    Result<Seconds> total =
+        memo->VariantTotal(StructuralPlanHash(variant.root()), [&] {
+          Result<MultistorePlan> split = BestSplit(variant);
+          return split.ok() ? Result<Seconds>(split->cost.Total())
+                            : Result<Seconds>(split.status());
+        });
     if (!total.ok()) {
       if (total.status().code() == StatusCode::kFailedPrecondition) {
         continue;  // this rewrite admits no feasible split
       }
-      // Hard errors propagate unmemoized: they abort the tuning pass
-      // anyway, and memoizing only complete answers keeps the probe map
-      // trivially consistent.
       return total.status();
     }
     if (!best.ok() || *total < *best) best = total;
-  }
-  {
-    MutexLock lock(session->mu_);
-    if (session->probe_totals_.size() >= WhatIfSession::kMaxEntries) {
-      session->probe_totals_.clear();
-    }
-    session->probe_totals_.emplace(probe_key, best);
   }
   return best;
 }

@@ -5,13 +5,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/annotations.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "dw/dw_cost_model.h"
 #include "hv/hv_cost_model.h"
 #include "optimizer/multistore_plan.h"
 #include "optimizer/split_enumerator.h"
+#include "optimizer/whatif_cache.h"
 #include "transfer/transfer_model.h"
 #include "views/rewriter.h"
 #include "views/view_catalog.h"
@@ -25,63 +25,6 @@ namespace miso::optimizer {
 /// per-query cost anatomy rather than as a failure.
 struct OptimizeOptions {
   bool dw_available = true;
-};
-
-/// Two-level memo shared by what-if probes, owned by the prober (the
-/// tuner keeps one for its lifetime; a standalone `BenefitAnalyzer` keeps
-/// a private one). Both levels are pure content-keyed memos, so entries
-/// never need invalidation while the optimizer (and hence its cost
-/// models) stays fixed:
-///
-///  1. *Probe* level — the probe's answer keyed by (query signature, DW
-///     catalog content fingerprint, HV catalog content fingerprint). A
-///     repeat probe skips everything, including the rewrites. Distinct
-///     probes within one cold tuning pass rarely repeat (the analyzer's
-///     own layers already dedup those), but successive reorganizations
-///     re-probe mostly the same (query, candidate-set) combinations.
-///  2. *Variant* level — best-split totals keyed by a structural hash of
-///     each *rewritten* plan variant. Probes with different probe keys
-///     still share most of their rewrite variants — the bare query recurs
-///     in every probe of that query, and a single-store rewrite recurs
-///     across every placement that splices the same views into the same
-///     positions — so this level retires the bulk of a cold pass's
-///     enumeration and costing work.
-///
-/// Exactness: a best-split total is a pure function of the variant's tree
-/// (immutable nodes, const cost models), and the structural hash covers
-/// every field the enumerator and the cost models read (kind, per-node
-/// canonical signature, stats, DW-executability, ViewScan store/content,
-/// UDF and filter cost parameters); the probe key relies on the same
-/// content-identity contract as `WhatIfCache::Fingerprint` (equal catalog
-/// contents rewrite and cost identically).
-///
-/// Threading: safe for concurrent probes (the tuner's `Prewarm` fan-out).
-/// A variant-level miss holds the lock across the solve, so each variant
-/// is solved exactly once per session regardless of `MISO_THREADS` —
-/// keeping the optimizer's split/candidate counters deterministic — at
-/// the price of serializing concurrent misses. Probe-level entries are
-/// only written after the answer is complete; concurrent same-key probes
-/// are already deduped by the analyzer's job dedup.
-class WhatIfSession {
- public:
-  WhatIfSession() = default;
-  WhatIfSession(const WhatIfSession&) = delete;
-  WhatIfSession& operator=(const WhatIfSession&) = delete;
-
- private:
-  friend class MultistoreOptimizer;
-
-  /// Memo size bound for long-lived (tuner-lifetime) sessions; reaching it
-  /// resets the memo (always safe — entries are pure recomputables). One
-  /// tuning pass creates a few hundred distinct variants, so the bound
-  /// spans many reorganizations while capping memory at a few MiB.
-  static constexpr std::size_t kMaxEntries = 1 << 16;
-
-  Mutex mu_;
-  std::unordered_map<uint64_t, Result<Seconds>> probe_totals_
-      MISO_GUARDED_BY(mu_);
-  std::unordered_map<uint64_t, Result<Seconds>> best_split_totals_
-      MISO_GUARDED_BY(mu_);
 };
 
 /// The multistore query optimizer (paper §3.1). Given a query and the
@@ -146,16 +89,16 @@ class MultistoreOptimizer {
                              const views::ViewCatalog& dw_views,
                              const views::ViewCatalog& hv_views) const;
 
-  /// As above, with a per-tuning-pass `WhatIfSession` memoizing best-split
-  /// totals across probes. Returns exactly what the session-free overload
-  /// returns — the memo only changes how much enumeration and costing the
-  /// answer costs. Falls back to the plain path when `session` is null or
-  /// verification is enabled (the verified path re-checks every winning
-  /// probe plan, which a memo hit would skip).
+  /// As above, resolving each rewrite variant's best-split total through
+  /// `memo`'s variant level (non-null). Returns exactly what the memo-free
+  /// overload returns — the memo only changes how much enumeration and
+  /// costing the answer costs. Takes the plain path when verification is
+  /// enabled (the verified path re-checks every winning probe plan, which
+  /// a memo hit would skip).
   Result<Seconds> WhatIfCost(const plan::Plan& query,
                              const views::ViewCatalog& dw_views,
                              const views::ViewCatalog& hv_views,
-                             WhatIfSession* session) const;
+                             WhatIfCache* memo) const;
 
   /// Costs one concrete (rewritten plan, split) pair.
   Result<MultistorePlan> CostSplit(const plan::Plan& executed,
@@ -191,11 +134,6 @@ class MultistoreOptimizer {
   HvSubtreeCosts PrecomputeHvSubtreeCosts(
       const plan::Plan& executed,
       const std::vector<SplitCandidate>& candidates) const;
-
-  /// Best-split total of one rewrite variant through `session`'s memo
-  /// (exactly-once per structural key).
-  Result<Seconds> SessionBestSplitTotal(const plan::Plan& executed,
-                                        WhatIfSession* session) const;
 
   views::Rewriter rewriter_;
   const hv::HvCostModel* hv_model_;

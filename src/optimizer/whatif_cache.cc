@@ -1,7 +1,5 @@
 #include "optimizer/whatif_cache.h"
 
-#include <cstring>
-
 #include "common/hash.h"
 
 namespace miso::optimizer {
@@ -9,13 +7,6 @@ namespace miso::optimizer {
 namespace {
 
 uint64_t HashU64(uint64_t h, uint64_t v) { return HashCombine(h, v); }
-
-uint64_t HashDouble(uint64_t h, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return HashCombine(h, bits);
-}
 
 /// Everything about one view that a rewrite can expose to the cost model
 /// (single-sourced in View so every content-identity cache aliases alike).
@@ -70,94 +61,34 @@ uint64_t WhatIfCache::Fingerprint(const QueryShape& shape,
 
 uint64_t WhatIfCache::EmptyFingerprint() { return kFnvOffsetBasis; }
 
-uint64_t WhatIfCache::EpochOf(const hv::HvConfig& hv, const dw::DwConfig& dw,
-                              const transfer::TransferConfig& transfer) {
-  uint64_t h = kFnvOffsetBasis;
-  h = HashU64(h, static_cast<uint64_t>(hv.num_nodes));
-  h = HashDouble(h, hv.job_startup_s);
-  h = HashDouble(h, hv.job_min_work_s);
-  h = HashDouble(h, hv.raw_read_mbps);
-  h = HashDouble(h, hv.inter_read_mbps);
-  h = HashDouble(h, hv.shuffle_mbps);
-  h = HashDouble(h, hv.write_mbps);
-  h = HashDouble(h, hv.udf_cpu_mbps);
-  h = HashU64(h, static_cast<uint64_t>(dw.num_nodes));
-  h = HashDouble(h, dw.query_overhead_s);
-  h = HashDouble(h, dw.scan_mbps);
-  h = HashDouble(h, dw.op_mbps);
-  h = HashDouble(h, dw.temp_scan_mbps);
-  h = HashDouble(h, dw.index_floor);
-  h = HashDouble(h, transfer.dump_mbps);
-  h = HashDouble(h, transfer.network_mbps);
-  h = HashDouble(h, transfer.temp_load_mbps);
-  h = HashDouble(h, transfer.perm_load_mbps);
-  h = HashDouble(h, transfer.dw_export_mbps);
-  h = HashDouble(h, transfer.hdfs_write_mbps);
-  return h;
-}
-
-void WhatIfCache::SetEpoch(uint64_t epoch) {
-  MutexLock lock(mutex_);
-  epoch_ = epoch;
-}
-
-uint64_t WhatIfCache::epoch() const {
-  MutexLock lock(mutex_);
-  return epoch_;
-}
-
 std::optional<Seconds> WhatIfCache::Lookup(const WhatIfKey& key) {
-  MutexLock lock(mutex_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
+  MutexLock lock(probe_mu_);
+  const auto it = probes_.find(key);
+  if (it == probes_.end()) {
     ++misses_;
     return std::nullopt;
   }
-  if (it->second->epoch != epoch_) {
-    lru_.erase(it->second);
-    index_.erase(it);
-    ++misses_;
-    return std::nullopt;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
   ++hits_;
-  return it->second->cost;
+  return it->second;
 }
 
 void WhatIfCache::Insert(const WhatIfKey& key, Seconds cost) {
-  MutexLock lock(mutex_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->cost = cost;
-    it->second->epoch = epoch_;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
+  MutexLock lock(probe_mu_);
+  if (probes_.size() >= kMaxEntries) {
+    evictions_ += static_cast<int64_t>(probes_.size());
+    probes_.clear();
   }
-  lru_.push_front(Entry{key, cost, epoch_});
-  index_.emplace(key, lru_.begin());
-  while (static_cast<Bytes>(lru_.size()) * kEntryBytes > max_bytes_ &&
-         lru_.size() > 1) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++evictions_;
-  }
+  probes_[key] = cost;
 }
 
 WhatIfCache::Stats WhatIfCache::GetStats() const {
-  MutexLock lock(mutex_);
+  MutexLock lock(probe_mu_);
   Stats stats;
   stats.hits = hits_;
   stats.misses = misses_;
   stats.evictions = evictions_;
-  stats.entries = static_cast<int64_t>(lru_.size());
-  stats.bytes = static_cast<Bytes>(lru_.size()) * kEntryBytes;
+  stats.entries = static_cast<int64_t>(probes_.size());
   return stats;
-}
-
-void WhatIfCache::Clear() {
-  MutexLock lock(mutex_);
-  lru_.clear();
-  index_.clear();
 }
 
 }  // namespace miso::optimizer

@@ -1,19 +1,17 @@
 #ifndef MISO_OPTIMIZER_WHATIF_CACHE_H_
 #define MISO_OPTIMIZER_WHATIF_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/annotations.h"
+#include "common/result.h"
 #include "common/units.h"
-#include "dw/dw_config.h"
-#include "hv/hv_config.h"
 #include "plan/plan.h"
-#include "transfer/transfer_model.h"
 #include "views/view.h"
 
 namespace miso::optimizer {
@@ -61,32 +59,44 @@ struct WhatIfKeyHash {
   std::size_t operator()(const WhatIfKey& key) const;
 };
 
-/// Byte-bounded LRU cache of what-if probe costs, persistent across
-/// reorganizations (the simulator owns one per run and shares it with
-/// every `Tune` call).
+/// The what-if memo, owned by whoever probes: `MisoTuner` keeps one for
+/// its lifetime (one per engine, hence one per seed), and a standalone
+/// `tuner::BenefitAnalyzer` keeps a private one. Two levels, both pure
+/// content-keyed memos, so no entry ever goes stale while the optimizer
+/// (and hence its cost models, fixed at construction) stays the same:
 ///
-/// Entries are stamped with a cost-model epoch (`SetEpoch`, derived from
-/// every cost-model knob via `EpochOf`): changing any knob invalidates the
-/// whole cache wholesale — stale entries are dropped lazily on lookup.
+///  1. *Probe* level — a probe's cost keyed by `WhatIfKey` (query
+///     signature plus relevant-subset fingerprint per store). Touched only
+///     from the analyzer's serial code (`SetWindow`, `ComputeRow`,
+///     `Prewarm` stages 1 and 3), so hits, misses, evictions and the
+///     resident set are a pure function of the probe order — identical for
+///     every `MISO_THREADS`. Successive reorganizations share most of their
+///     window and candidate pool, so a tuner-lifetime memo answers most of
+///     a warm pass without touching the optimizer.
+///  2. *Variant* level — best-split totals keyed by a structural hash of
+///     each *rewritten* plan variant (`MultistoreOptimizer::WhatIfCost`).
+///     Probes with different keys still share most of their rewrite
+///     variants — the bare query recurs in every probe of that query, and
+///     a single-store rewrite recurs across every placement that splices
+///     the same views into the same positions — so this level retires the
+///     bulk of a cold pass's enumeration and costing work. Safe for the
+///     concurrent probes of `Prewarm`'s fan-out: a miss holds the lock
+///     across the solve, so each variant is solved exactly once regardless
+///     of `MISO_THREADS`, keeping the optimizer's split/candidate counters
+///     deterministic, at the price of serializing concurrent misses.
 ///
-/// Determinism: the cache is only mutated from serial tuner code (probe
-/// fan-out computes costs into private slots and inserts afterwards, in
-/// order — see BenefitAnalyzer::Prewarm), so hits/misses/evictions and the
-/// resident set are identical for every `MISO_THREADS`. The internal mutex
-/// merely makes concurrent *reads* by embedders safe; it is not what the
-/// determinism contract rests on.
+/// Bound: each level resets wholesale when it reaches `kMaxEntries`
+/// (always exact — entries are pure recomputables). Probe-level resets
+/// count every dropped entry as an eviction.
 class WhatIfCache {
  public:
-  /// Approximate resident cost of one entry (key + cost + LRU/index
-  /// bookkeeping), used for the byte bound. Exposed so tests can size
-  /// `max_bytes` to an exact entry capacity.
-  static constexpr Bytes kEntryBytes = 128;
+  /// Per-level entry cap. One tuning pass creates a few hundred distinct
+  /// probes and variants (docs/PERFORMANCE.md measures at most 12,248
+  /// resident probes over a whole run), so the cap spans many
+  /// reorganizations while capping memory at a few MiB.
+  static constexpr std::size_t kMaxEntries = std::size_t{1} << 16;
 
-  static constexpr Bytes kDefaultMaxBytes = 64 * kMiB;
-
-  explicit WhatIfCache(Bytes max_bytes = kDefaultMaxBytes)
-      : max_bytes_(max_bytes) {}
-
+  WhatIfCache() = default;
   WhatIfCache(const WhatIfCache&) = delete;
   WhatIfCache& operator=(const WhatIfCache&) = delete;
 
@@ -103,57 +113,56 @@ class WhatIfCache {
   /// Fingerprint of the empty view set (the base-cost probes).
   static uint64_t EmptyFingerprint();
 
-  /// Epoch value covering every cost-model knob that can change a what-if
-  /// cost. Any difference in any field yields (modulo hashing) a different
-  /// epoch.
-  static uint64_t EpochOf(const hv::HvConfig& hv, const dw::DwConfig& dw,
-                          const transfer::TransferConfig& transfer);
-
-  /// Declares the current cost-model epoch. Entries stamped with a
-  /// different epoch are invalid and are dropped lazily on lookup.
-  void SetEpoch(uint64_t epoch);
-  uint64_t epoch() const;
-
-  /// Returns the cached cost and refreshes the entry's LRU position, or
-  /// nullopt (counting a miss) when absent or stale.
+  /// Probe level: the memoized cost, or nullopt (counting a miss).
   std::optional<Seconds> Lookup(const WhatIfKey& key);
 
-  /// Inserts (or overwrites) `key` at the current epoch, then evicts from
-  /// the LRU tail while over the byte bound. The newest entry is never
-  /// evicted, so a bound smaller than one entry degrades to capacity 1.
+  /// Probe level: inserts `cost` under `key`, first resetting the level
+  /// when it is full.
   void Insert(const WhatIfKey& key, Seconds cost);
 
+  /// Variant level: the best-split total memoized under `variant_hash`,
+  /// or `solve()`'s answer, memoized. `solve` runs under the level's lock.
+  template <typename Solve>
+  Result<Seconds> VariantTotal(uint64_t variant_hash, Solve&& solve);
+
+  /// Probe-level counters over the memo's lifetime.
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;
     int64_t evictions = 0;
     int64_t entries = 0;
-    Bytes bytes = 0;
   };
   Stats GetStats() const;
 
-  Bytes max_bytes() const { return max_bytes_; }
-
-  void Clear();
-
  private:
-  struct Entry {
-    WhatIfKey key;
-    Seconds cost = 0;
-    uint64_t epoch = 0;
-  };
+  mutable Mutex probe_mu_;
+  std::unordered_map<WhatIfKey, Seconds, WhatIfKeyHash> probes_
+      MISO_GUARDED_BY(probe_mu_);
+  int64_t hits_ MISO_GUARDED_BY(probe_mu_) = 0;
+  int64_t misses_ MISO_GUARDED_BY(probe_mu_) = 0;
+  int64_t evictions_ MISO_GUARDED_BY(probe_mu_) = 0;
 
-  mutable Mutex mutex_;
-  Bytes max_bytes_;
-  uint64_t epoch_ MISO_GUARDED_BY(mutex_) = 0;
-  // front = most recently used
-  std::list<Entry> lru_ MISO_GUARDED_BY(mutex_);
-  std::unordered_map<WhatIfKey, std::list<Entry>::iterator, WhatIfKeyHash>
-      index_ MISO_GUARDED_BY(mutex_);
-  int64_t hits_ MISO_GUARDED_BY(mutex_) = 0;
-  int64_t misses_ MISO_GUARDED_BY(mutex_) = 0;
-  int64_t evictions_ MISO_GUARDED_BY(mutex_) = 0;
+  Mutex variant_mu_;
+  std::unordered_map<uint64_t, Result<Seconds>> variants_
+      MISO_GUARDED_BY(variant_mu_);
 };
+
+template <typename Solve>
+Result<Seconds> WhatIfCache::VariantTotal(uint64_t variant_hash,
+                                          Solve&& solve) {
+  MutexLock lock(variant_mu_);
+  const auto it = variants_.find(variant_hash);
+  if (it != variants_.end()) return it->second;
+  // Solve under the lock: each key is enumerated and costed exactly once
+  // regardless of thread count. Deadlock-free: a worker holding the lock
+  // runs the solve's nested ParallelFor inline (pool nesting detection),
+  // and a non-worker caller never holds the lock while waiting on pool
+  // futures it could starve — other probes merely queue behind the lock.
+  Result<Seconds> total = solve();
+  if (variants_.size() >= kMaxEntries) variants_.clear();
+  variants_.emplace(variant_hash, total);
+  return total;
+}
 
 }  // namespace miso::optimizer
 

@@ -52,10 +52,6 @@ MisoServer::MisoServer(const relation::Catalog* catalog,
       plan_cache_(config.plan_cache_bytes) {
   const sim::SimConfig& cfg = config_.sim;
   if (config_.wave_size < 1) config_.wave_size = 1;
-  // Cache identity: any cost-model knob change is a different planning
-  // universe, so it is folded into every plan-cache key.
-  cost_epoch_ =
-      optimizer::WhatIfCache::EpochOf(cfg.hv, cfg.dw, cfg.transfer);
   if (config_.overload.breaker) breaker_.emplace(config_.overload);
 
   if (sim::Engine::NeedsWholeWorkload(cfg.variant)) {
@@ -398,7 +394,6 @@ void MisoServer::EnsurePlanned(WaveState* wave) {
     slot.key.query_signature = session.query.plan.signature();
     slot.key.hv_fingerprint = hv_fp;
     slot.key.dw_fingerprint = dw_fp;
-    slot.key.cost_epoch = cost_epoch_;
     if (const PlanCache::Entry* entry = plan_cache_.Lookup(slot.key)) {
       hits += 1;
       if (!slot.plan_ready) slot.AdoptEntry(*entry);
@@ -493,7 +488,6 @@ void MisoServer::Speculate(const WaveState* cur, WaveState* next) {
       key.query_signature = next->sessions[i].query.plan.signature();
       key.hv_fingerprint = next->planned_hv_fp;
       key.dw_fingerprint = next->planned_dw_fp;
-      key.cost_epoch = cost_epoch_;
       if (const PlanCache::Entry* entry = plan_cache_.Peek(key)) {
         slot.AdoptEntry(*entry);
       }

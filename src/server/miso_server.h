@@ -282,7 +282,6 @@ class MisoServer {
   WaveState waves_[2];
   // Serving-path plan cache (scheduler thread only — see PlanCache).
   PlanCache plan_cache_;
-  uint64_t cost_epoch_ = 0;
   // Engine shrink count the cache last saw: a view leaving a catalog ends
   // the monotone-growth window the cache keys rest on.
   int cache_shrinks_ = 0;

@@ -10,7 +10,6 @@ std::size_t PlanCacheKeyHash::operator()(const PlanCacheKey& key) const {
   uint64_t h = key.query_signature;
   h = HashCombine(h, key.hv_fingerprint);
   h = HashCombine(h, key.dw_fingerprint);
-  h = HashCombine(h, key.cost_epoch);
   return static_cast<std::size_t>(h);
 }
 

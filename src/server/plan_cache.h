@@ -14,8 +14,9 @@
 namespace miso::server {
 
 /// Cache key of one serving-path planning call: the query identity plus
-/// the design identity (per-store catalog content fingerprints) plus the
-/// cost-model epoch. Between two wholesale invalidations the live
+/// the design identity (per-store catalog content fingerprints). The cost
+/// models need no key part: each server owns one cache and fixes its cost
+/// models at construction. Between two wholesale invalidations the live
 /// catalogs only *gain* views (opportunistic harvest; removals happen
 /// only at reorganization flips, which invalidate), and
 /// `ViewCatalog::ContentFingerprint` folds per-view fingerprints with a
@@ -28,13 +29,11 @@ struct PlanCacheKey {
   uint64_t query_signature = 0;
   uint64_t hv_fingerprint = 0;
   uint64_t dw_fingerprint = 0;
-  uint64_t cost_epoch = 0;
 
   bool operator==(const PlanCacheKey& other) const {
     return query_signature == other.query_signature &&
            hv_fingerprint == other.hv_fingerprint &&
-           dw_fingerprint == other.dw_fingerprint &&
-           cost_epoch == other.cost_epoch;
+           dw_fingerprint == other.dw_fingerprint;
   }
 };
 
@@ -43,13 +42,13 @@ struct PlanCacheKeyHash {
 };
 
 /// Byte-bounded LRU cache of serving-path optimizer answers, keyed on
-/// (query signature, HV/DW catalog content fingerprint, cost-model
-/// epoch). An entry stores the full `MultistorePlan` (five-part cost
-/// anatomy included) *and* the optimizer telemetry captured while it was
-/// first computed — trace lines, histogram observations, counter deltas
-/// — so a hit replays byte-identical observability at the session's
-/// serial reduce point and every model-class output is independent of
-/// the cache being on, off, or thrashing.
+/// (query signature, HV/DW catalog content fingerprint). An entry stores
+/// the full `MultistorePlan` (five-part cost anatomy included) *and* the
+/// optimizer telemetry captured while it was first computed — trace
+/// lines, histogram observations, counter deltas — so a hit replays
+/// byte-identical observability at the session's serial reduce point and
+/// every model-class output is independent of the cache being on, off,
+/// or thrashing.
 ///
 /// Threading: single-threaded by design — every member is called from
 /// the server's scheduler thread only (`Peek` at speculative dispatch,

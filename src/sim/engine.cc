@@ -160,8 +160,7 @@ Engine::Engine(const relation::Catalog* catalog, const SimConfig& config,
       pool_(pool),
       tuner_config_(MakeTunerConfig(config)),
       miso_tuner_(&opt_, tuner_config_),
-      lru_tuner_(tuner_config_),
-      whatif_cache_(config.whatif_cache_bytes) {
+      lru_tuner_(tuner_config_) {
   if (config_.metrics && !obs::MetricsOn()) scoped_metrics_.emplace(true);
   if (config_.trace && !obs::TraceOn()) scoped_trace_.emplace(true);
 
@@ -180,13 +179,6 @@ Engine::Engine(const relation::Catalog* catalog, const SimConfig& config,
     }
   }
   opt_.set_thread_pool(pool_);
-  // The run-lifetime what-if cache lets reorganization k+1 reuse the
-  // probes of reorganization k. The epoch covers every cost-model knob.
-  if (config_.whatif_cache) {
-    whatif_cache_.SetEpoch(optimizer::WhatIfCache::EpochOf(
-        config_.hv, config_.dw, config_.transfer));
-    miso_tuner_.set_whatif_cache(&whatif_cache_);
-  }
   report_.variant = config_.variant;
   report_.variant_name = std::string(SystemVariantToString(config_.variant));
 }

@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optimizer/multistore_optimizer.h"
-#include "optimizer/whatif_cache.h"
 #include "plan/node_factory.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
@@ -222,7 +221,6 @@ class Engine {
   tuner::MisoTunerConfig tuner_config_;
   tuner::MisoTuner miso_tuner_;
   tuner::LruTuner lru_tuner_;
-  optimizer::WhatIfCache whatif_cache_;
 
   RunReport report_;
   Seconds now_ = 0;

@@ -8,7 +8,6 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "dw/dw_config.h"
-#include "optimizer/whatif_cache.h"
 #include "dw/resource_model.h"
 #include "fault/fault.h"
 #include "hv/hv_config.h"
@@ -87,18 +86,6 @@ struct SimConfig {
   /// serial code path. Simulation results are bit-identical across
   /// thread counts either way — this knob trades wall-clock only.
   int threads = 0;
-
-  /// Persistent what-if cost cache shared by every reorganization of a
-  /// run (optimizer/whatif_cache.h): probe costs keyed by (query
-  /// signature, relevant-view fingerprints, placement) survive the
-  /// j-query reorg cadence, so successive Tune calls — which share most
-  /// of their window and candidate pool — skip most optimizer work.
-  /// Caching is exact: every tuner output is byte-identical with the
-  /// cache on or off, for any thread count (whatif_cache_bytes bounds the
-  /// LRU). Sweeps keep one cache per seed; nothing is shared across
-  /// seeds.
-  bool whatif_cache = true;
-  Bytes whatif_cache_bytes = optimizer::WhatIfCache::kDefaultMaxBytes;
 
   /// Observability (docs/TELEMETRY.md). `metrics` turns the process-wide
   /// metrics registry on for the duration of the run; `trace` does the

@@ -70,7 +70,7 @@ Result<Seconds> BenefitAnalyzer::Probe(std::size_t query_index,
       placement == Placement::kHvOnly ? empty : hypothetical;
   const views::ViewCatalog& hv =
       placement == Placement::kDwOnly ? empty : hypothetical;
-  return optimizer_->WhatIfCost(window_[query_index], dw, hv, session_);
+  return optimizer_->WhatIfCost(window_[query_index], dw, hv, whatif_);
 }
 
 Status BenefitAnalyzer::SetWindow(std::vector<plan::Plan> window) {
@@ -91,17 +91,15 @@ Status BenefitAnalyzer::SetWindow(std::vector<plan::Plan> window) {
     key.query_signature = q.signature();
     key.dw_fingerprint = empty_fp;
     key.hv_fingerprint = empty_fp;
-    std::optional<Seconds> hit =
-        cache_ != nullptr ? cache_->Lookup(key) : std::nullopt;
-    if (hit.has_value()) {
+    if (std::optional<Seconds> hit = whatif_->Lookup(key)) {
       cost = *hit;
     } else {
-      // Base-cost probes also seed the session's variant memo: the bare
-      // query is the empty design's only rewrite variant and recurs in
-      // every later probe of the same query.
+      // Base-cost probes also seed the variant level: the bare query is
+      // the empty design's only rewrite variant and recurs in every later
+      // probe of the same query.
       MISO_ASSIGN_OR_RETURN(
-          cost, optimizer_->WhatIfCost(q, empty, empty, session_));
-      if (cache_ != nullptr) cache_->Insert(key, cost);
+          cost, optimizer_->WhatIfCost(q, empty, empty, whatif_));
+      whatif_->Insert(key, cost);
     }
     base_costs_.push_back(cost);
   }
@@ -114,15 +112,6 @@ double BenefitAnalyzer::Weight(int pos) const {
   const int from_newest = static_cast<int>(window_.size()) - 1 - pos;
   const int epoch_age = from_newest / epoch_len_;
   return std::pow(decay_, epoch_age);
-}
-
-std::vector<views::View> BenefitAnalyzer::RelevantSubset(
-    std::size_t query_index, const std::vector<views::View>& set) const {
-  std::vector<views::View> subset;
-  for (const views::View& view : set) {
-    if (shapes_[query_index].Relevant(view)) subset.push_back(view);
-  }
-  return subset;
 }
 
 std::vector<uint64_t> BenefitAnalyzer::RelevantMask(
@@ -143,24 +132,11 @@ Result<std::vector<double>> BenefitAnalyzer::ComputeRow(
   const views::ViewCatalog empty(kUnboundedBudget);
   for (std::size_t i = 0; i < window_.size(); ++i) {
     // Relevance fast path: a query no member view can rewrite keeps its
-    // base cost exactly, so its benefit is 0 — no probe, no cache access.
+    // base cost exactly, so its benefit is 0 — no probe, no memo access.
     if (!shapes_[i].AnyRelevant(set)) continue;
-    // Subset reduction: the cost depends only on the relevant members, so
-    // a memoized row for exactly that subset already holds this query's
-    // benefit (typical when singles were prewarmed before pairs).
-    if (const std::vector<views::View> subset = RelevantSubset(i, set);
-        subset.size() < set.size()) {
-      if (auto it = memo_.find(KeyOf(subset, placement)); it != memo_.end()) {
-        benefits[i] = it->second[i];
-        continue;
-      }
-    }
+    const optimizer::WhatIfKey key = ProbeKey(i, set, placement);
     Seconds cost = 0;
-    std::optional<optimizer::WhatIfKey> key;
-    if (cache_ != nullptr) key = ProbeKey(i, set, placement);
-    std::optional<Seconds> hit =
-        cache_ != nullptr ? cache_->Lookup(*key) : std::nullopt;
-    if (hit.has_value()) {
+    if (std::optional<Seconds> hit = whatif_->Lookup(key)) {
       cost = *hit;
     } else {
       if (!hypothetical.has_value()) {
@@ -171,8 +147,8 @@ Result<std::vector<double>> BenefitAnalyzer::ComputeRow(
       const views::ViewCatalog& hv =
           placement == Placement::kDwOnly ? empty : *hypothetical;
       MISO_ASSIGN_OR_RETURN(
-          cost, optimizer_->WhatIfCost(window_[i], dw, hv, session_));
-      if (cache_ != nullptr) cache_->Insert(*key, cost);
+          cost, optimizer_->WhatIfCost(window_[i], dw, hv, whatif_));
+      whatif_->Insert(key, cost);
     }
     benefits[i] = std::max(0.0, base_costs_[i] - cost);
   }
@@ -194,7 +170,7 @@ Status BenefitAnalyzer::Prewarm(
     ThreadPool* pool, const std::vector<std::vector<views::View>>& sets,
     Placement placement) {
   // Stage 1, serial: walk (set, query) in deterministic order, resolving
-  // each needed cost to the fast path, a cache hit, or a pending probe.
+  // each needed cost to the fast path, a memo hit, or a pending probe.
   // Probes dedupe by WhatIfKey — two pairs with equal keys have equal
   // costs by construction — and keep first-occurrence order, so the job
   // list (and every counter touched here) is independent of `pool`.
@@ -228,22 +204,10 @@ Status BenefitAnalyzer::Prewarm(
     row.benefits.assign(window_.size(), 0.0);
     for (std::size_t q = 0; q < window_.size(); ++q) {
       if (!shapes_[q].AnyRelevant(set)) continue;
-      // Subset reduction, mirroring ComputeRow: an already-memoized row
-      // for the relevant subset answers the query without a probe job.
-      if (const std::vector<views::View> subset = RelevantSubset(q, set);
-          subset.size() < set.size()) {
-        if (auto mit = memo_.find(KeyOf(subset, placement));
-            mit != memo_.end()) {
-          row.benefits[q] = mit->second[q];
-          continue;
-        }
-      }
       const optimizer::WhatIfKey pk = ProbeKey(q, set, placement);
-      if (cache_ != nullptr) {
-        if (std::optional<Seconds> hit = cache_->Lookup(pk)) {
-          row.benefits[q] = std::max(0.0, base_costs_[q] - *hit);
-          continue;
-        }
+      if (std::optional<Seconds> hit = whatif_->Lookup(pk)) {
+        row.benefits[q] = std::max(0.0, base_costs_[q] - *hit);
+        continue;
       }
       auto [it, inserted] = job_of.emplace(pk, jobs.size());
       if (inserted) jobs.push_back(ProbeJob{pk, s, q});
@@ -268,11 +232,11 @@ Status BenefitAnalyzer::Prewarm(
       ParallelForOptions{/*grain=*/4});
 
   // Stage 3, serial: surface the lowest-ordered failure (the same error a
-  // serial pass would hit first) and publish costs to the shared cache in
+  // serial pass would hit first) and publish costs to the probe level in
   // job order.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (!costs[i].ok()) return costs[i].status();
-    if (cache_ != nullptr) cache_->Insert(jobs[i].key, *costs[i]);
+    whatif_->Insert(jobs[i].key, *costs[i]);
   }
 
   // Stage 4, serial: assemble and memoize the benefit rows in set order.

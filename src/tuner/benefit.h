@@ -27,46 +27,39 @@ enum class Placement { kBothStores, kDwOnly, kHvOnly };
 /// both stores from scratch each reorganization, so each candidate's value
 /// is what it saves relative to having no views at all.
 ///
-/// Probe economy. Five layers avoid or shrink optimizer work, in order:
+/// Probe economy. Three layers avoid or shrink optimizer work:
 ///   1. a relevance fast path — a query that no view of the set could
 ///      ever rewrite (QueryShape::Relevant) has benefit 0 by construction,
-///      with no probe and no cache access at all;
-///   2. subset reduction — a probe's cost depends only on the members
-///      relevant to the query, so when the reduced subset's row is already
-///      memoized (the common case: singles are prewarmed before pairs) the
-///      cost is read from it, which works even with no shared cache;
-///   3. the optional shared `optimizer::WhatIfCache`, keyed by (query
-///      signature, relevant-subset fingerprints, placement), which
-///      persists across analyzers and hence across reorganizations;
-///   4. a per-window memo of whole benefit rows under a hashed set key;
-///   5. inside probes that do reach the optimizer, a per-analyzer
-///      `optimizer::WhatIfSession` memoizes best-split totals by rewrite
-///      *variant* — distinct probes (different sets/placements) share most
-///      of their rewritten plans, so a cold pass's first probes pay for
-///      the enumeration and every later probe reuses the totals.
-/// All five are exact: enabling or disabling the cache (or `Prewarm`)
-/// never changes a returned benefit, only how much work it costs.
+///      with no probe and no memo access at all;
+///   2. a per-window memo of whole benefit rows under a hashed set key;
+///   3. the `optimizer::WhatIfCache` memo, shared with the owning tuner
+///      and so kept across reorganizations: its probe level answers a
+///      (query, relevant-subset fingerprints, placement) probe outright,
+///      and inside probes that do reach the optimizer its variant level
+///      memoizes best-split totals by rewrite *variant* — distinct probes
+///      share most of their rewritten plans, so a cold pass's first probes
+///      pay for the enumeration and every later probe reuses the totals.
+/// All three are exact: a warm or cold memo (or `Prewarm`) never changes
+/// a returned benefit, only how much work it costs.
 ///
 /// Threading: every public method must be called from the single tuner
 /// thread. `Prewarm` is the only entry point that fans out — it computes
 /// missing probe costs into private slots over a `ThreadPool` and then
-/// memoizes serially, in deterministic order, so results *and* cache
+/// memoizes serially, in deterministic order, so results *and* memo
 /// hit/miss/eviction counts are identical for every `MISO_THREADS`.
 class BenefitAnalyzer {
  public:
-  /// `session`, when given, is a caller-owned `WhatIfSession` whose
-  /// variant-total memo outlives this analyzer — the tuner passes its own
-  /// so successive reorganizations reuse each other's best-split solves
-  /// (the totals are window- and design-independent). Null means a private
-  /// session confined to this analyzer's lifetime.
+  /// `whatif`, when given, is a caller-owned memo that outlives this
+  /// analyzer — the tuner passes its own so successive reorganizations
+  /// reuse each other's probes and best-split solves (both are window- and
+  /// design-independent). Null means a private memo confined to this
+  /// analyzer's lifetime.
   BenefitAnalyzer(const optimizer::MultistoreOptimizer* opt, int epoch_len,
-                  double decay, optimizer::WhatIfCache* cache = nullptr,
-                  optimizer::WhatIfSession* session = nullptr)
+                  double decay, optimizer::WhatIfCache* whatif = nullptr)
       : optimizer_(opt),
         epoch_len_(epoch_len),
         decay_(decay),
-        cache_(cache),
-        session_(session != nullptr ? session : &own_session_) {}
+        whatif_(whatif != nullptr ? whatif : &own_whatif_) {}
 
   /// Sets the workload window, ordered oldest -> newest, and precomputes
   /// per-query base costs (empty design).
@@ -109,7 +102,7 @@ class BenefitAnalyzer {
  private:
   /// Hashed memo key for one (set, placement): FNV over the sorted member
   /// ids. Ids are unique within a tuning pass, which is exactly the memo's
-  /// lifetime (the cross-reorg layer is the id-free WhatIfCache).
+  /// lifetime (the cross-reorg layer is the id-free `whatif_`).
   struct SetKey {
     uint64_t ids_hash = 0;
     uint32_t count = 0;
@@ -127,43 +120,31 @@ class BenefitAnalyzer {
   static SetKey KeyOf(const std::vector<views::View>& set,
                       Placement placement);
 
-  /// Cache key of the probe for window query `query_index` against `set`
+  /// Memo key of the probe for window query `query_index` against `set`
   /// at `placement` (fingerprints only the relevant subset per store).
   optimizer::WhatIfKey ProbeKey(std::size_t query_index,
                                 const std::vector<views::View>& set,
                                 Placement placement) const;
 
-  /// One raw optimizer probe (no caching) of window query `query_index`
-  /// against the hypothetical catalogs implied by (set, placement).
+  /// One optimizer probe (no probe-level lookup) of window query
+  /// `query_index` against the hypothetical catalogs implied by (set,
+  /// placement).
   Result<Seconds> Probe(std::size_t query_index,
                         const std::vector<views::View>& set,
                         Placement placement) const;
 
   /// Computes one full benefit row serially, using the fast path and the
-  /// shared cache. Does not consult or fill the memo.
+  /// what-if memo. Does not consult or fill the row memo.
   Result<std::vector<double>> ComputeRow(const std::vector<views::View>& set,
                                          Placement placement);
-
-  /// The members of `set` relevant to window query `query_index`, in set
-  /// order. A probe's cost depends only on this subset (the same argument
-  /// that lets WhatIfCache fingerprint only relevant members), so a
-  /// memoized row for the subset answers the query exactly — the
-  /// subset-reduction layer of the probe economy.
-  std::vector<views::View> RelevantSubset(
-      std::size_t query_index, const std::vector<views::View>& set) const;
 
   const optimizer::MultistoreOptimizer* optimizer_;
   int epoch_len_;
   double decay_;
-  optimizer::WhatIfCache* cache_;
-  /// Variant-level best-split memo used by every probe (layer 5 above).
-  /// Window-independent and design-independent: entries are keyed by the
-  /// structural content of rewritten plans, so no invalidation is ever
-  /// needed and the memo can safely outlive the analyzer (tuner-owned
-  /// `session_`). Mutable because probing is logically const; internally
-  /// synchronized for the Prewarm fan-out.
-  mutable optimizer::WhatIfSession own_session_;
-  optimizer::WhatIfSession* session_;
+  /// The what-if memo every probe goes through (layer 3 above): the
+  /// caller's, else `own_whatif_`.
+  optimizer::WhatIfCache own_whatif_;
+  optimizer::WhatIfCache* whatif_;
   std::vector<plan::Plan> window_;
   std::vector<optimizer::QueryShape> shapes_;
   std::vector<double> base_costs_;

@@ -28,8 +28,7 @@ Result<ReorgPlan> MisoTuner::Tune(const views::ViewCatalog& hv,
                                   const std::vector<plan::Plan>& window) const {
   // miso-lint: allow(L003) miso.tuner.tune_ms is runtime-class wall-clock telemetry (docs/TELEMETRY.md)
   const auto tune_start = std::chrono::steady_clock::now();
-  const optimizer::WhatIfCache::Stats cache_before =
-      cache_ != nullptr ? cache_->GetStats() : optimizer::WhatIfCache::Stats{};
+  const optimizer::WhatIfCache::Stats whatif_before = whatif_.GetStats();
 
   // Candidate pool V = Vh ∪ Vd (disjoint by invariant). Each catalog is
   // copied out exactly once; the membership sets are sliced from the
@@ -51,7 +50,7 @@ Result<ReorgPlan> MisoTuner::Tune(const views::ViewCatalog& hv,
   if (candidates.empty()) return plan;
 
   BenefitAnalyzer analyzer(optimizer_, config_.epoch_length,
-                           config_.benefit_decay, cache_, &session_);
+                           config_.benefit_decay, &whatif_);
   MISO_RETURN_IF_ERROR(analyzer.SetWindow(window));
 
   // Interaction handling -> independent candidate items.
@@ -237,19 +236,17 @@ Result<ReorgPlan> MisoTuner::Tune(const views::ViewCatalog& hv,
                                    plan.drop_from_dw.size()));
     registry.GetGauge(obs::names::kLastPredictedBenefit)
         ->Set(predicted_benefit_s);
-    if (cache_ != nullptr) {
-      // Per-Tune deltas of the shared cache's lifetime stats. All cache
-      // accesses happen on this (serial) thread — Prewarm only fans out
-      // the pure optimizer probes — so these deltas are model-class:
-      // identical for every MISO_THREADS.
-      const optimizer::WhatIfCache::Stats cache_after = cache_->GetStats();
-      registry.GetCounter(obs::names::kWhatIfCacheHits)
-          ->Add(cache_after.hits - cache_before.hits);
-      registry.GetCounter(obs::names::kWhatIfCacheMisses)
-          ->Add(cache_after.misses - cache_before.misses);
-      registry.GetCounter(obs::names::kWhatIfCacheEvictions)
-          ->Add(cache_after.evictions - cache_before.evictions);
-    }
+    // Per-Tune deltas of the memo's probe-level lifetime stats. Every
+    // probe-level access happens on this (serial) thread — Prewarm only
+    // fans out the pure optimizer probes — so these deltas are
+    // model-class: identical for every MISO_THREADS.
+    const optimizer::WhatIfCache::Stats whatif_after = whatif_.GetStats();
+    registry.GetCounter(obs::names::kWhatIfCacheHits)
+        ->Add(whatif_after.hits - whatif_before.hits);
+    registry.GetCounter(obs::names::kWhatIfCacheMisses)
+        ->Add(whatif_after.misses - whatif_before.misses);
+    registry.GetCounter(obs::names::kWhatIfCacheEvictions)
+        ->Add(whatif_after.evictions - whatif_before.evictions);
     // Wall-clock tuning latency: runtime-class by nature (it varies with
     // machine load and thread count) and therefore excluded from the
     // cross-thread-count determinism contract, like miso.pool.*.

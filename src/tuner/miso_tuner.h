@@ -74,15 +74,10 @@ class MisoTuner {
 
   const MisoTunerConfig& config() const { return config_; }
 
-  /// Installs (or clears, with nullptr) a shared what-if cost cache. The
-  /// cache is borrowed, not owned, and persists across Tune calls — that
-  /// persistence is the point: successive reorganizations share most of
-  /// their window and candidate pool, so a warm cache answers most probes
-  /// without touching the optimizer. The caller is responsible for
-  /// `SetEpoch` whenever any cost-model knob changes. Caching never
-  /// changes a Tune result, only its latency.
-  void set_whatif_cache(optimizer::WhatIfCache* cache) { cache_ = cache; }
-  optimizer::WhatIfCache* whatif_cache() const { return cache_; }
+  /// Lifetime counters of the tuner's what-if memo's probe level.
+  optimizer::WhatIfCache::Stats whatif_stats() const {
+    return whatif_.GetStats();
+  }
 
   /// Computes the reorganization for the given current designs and
   /// workload window (ordered oldest -> newest).
@@ -93,17 +88,14 @@ class MisoTuner {
  private:
   const optimizer::MultistoreOptimizer* optimizer_;
   MisoTunerConfig config_;
-  optimizer::WhatIfCache* cache_ = nullptr;
-  /// Variant-total memo threaded through every Tune's benefit analyzer.
-  /// Unlike the WhatIfCache (keyed per whole probe, epoch-invalidated by
-  /// the caller), these entries are keyed by the structural content of
-  /// rewritten plan variants and depend only on the optimizer's immutable
-  /// cost models — fixed for this tuner's lifetime — so persistence across
-  /// Tune calls needs no invalidation and is exact: successive
-  /// reorganizations share most of their window and candidate pool, hence
-  /// most of their rewrite variants. Mutable because Tune is logically
-  /// const (the memo changes only latency, never a result).
-  mutable optimizer::WhatIfSession session_;
+  /// What-if memo threaded through every Tune's benefit analyzer. Its
+  /// entries are content-keyed and depend only on the optimizer's cost
+  /// models — fixed for this tuner's lifetime — so persistence across Tune
+  /// calls needs no invalidation and is exact: successive reorganizations
+  /// share most of their window and candidate pool, hence most of their
+  /// probes and rewrite variants. Mutable because Tune is logically const
+  /// (the memo changes only latency, never a result).
+  mutable optimizer::WhatIfCache whatif_;
 };
 
 }  // namespace miso::tuner

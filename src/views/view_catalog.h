@@ -56,8 +56,8 @@ class ViewCatalog {
   /// Order-independent hash of the catalog's rewrite-relevant content
   /// (each member's `View::ContentFingerprint`; ids excluded). Two
   /// catalogs with equal fingerprints rewrite every query identically and
-  /// hence cost identically — the key contract of the optimizer's what-if
-  /// probe memo (`WhatIfSession`).
+  /// hence cost identically — the key contract of the serving path's plan
+  /// cache (`server::PlanCache`) and its speculative-wave validation.
   uint64_t ContentFingerprint() const;
 
   /// Marks `id` as used by query `query_index` (for LRU policies).

@@ -3,16 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "../test_util.h"
 #include "dw/dw_cost_model.h"
 #include "hv/hv_cost_model.h"
+#include "hv/hv_store.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "optimizer/multistore_optimizer.h"
 #include "plan/node_factory.h"
 #include "transfer/transfer_model.h"
 #include "tuner/benefit.h"
+#include "verify/verify_gate.h"
 #include "views/view.h"
+#include "views/view_catalog.h"
 
 namespace miso::optimizer {
 namespace {
@@ -100,10 +106,10 @@ TEST_F(WhatIfCacheTest, FingerprintIgnoresIdsAndIrrelevantViews) {
 
 TEST_F(WhatIfCacheTest, LookupReturnsBitIdenticalCost) {
   WhatIfCache cache;
-  cache.SetEpoch(1);
-  // A cost with a non-trivial mantissa: the cache must hand back the exact
+  // A cost with a non-trivial mantissa: the memo must hand back the exact
   // stored double, not a reformatted approximation.
   const Seconds cost = 12345.6789012345678;
+  EXPECT_FALSE(cache.Lookup(Key(1, 2, 3)).has_value());
   cache.Insert(Key(1, 2, 3), cost);
   auto hit = cache.Lookup(Key(1, 2, 3));
   ASSERT_TRUE(hit.has_value());
@@ -111,61 +117,31 @@ TEST_F(WhatIfCacheTest, LookupReturnsBitIdenticalCost) {
 
   const WhatIfCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(stats.misses, 0);
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.evictions, 0);
   EXPECT_EQ(stats.entries, 1);
-  EXPECT_EQ(stats.bytes, WhatIfCache::kEntryBytes);
 }
 
-TEST_F(WhatIfCacheTest, EpochChangeInvalidatesWholesale) {
-  const hv::HvConfig hv;
-  const dw::DwConfig dw;
-  const transfer::TransferConfig transfer;
-
+TEST_F(WhatIfCacheTest, ResetsAtEntryCapAndCountsEvictions) {
   WhatIfCache cache;
-  cache.SetEpoch(WhatIfCache::EpochOf(hv, dw, transfer));
-  cache.Insert(Key(1, 2, 3), 10.0);
-  ASSERT_TRUE(cache.Lookup(Key(1, 2, 3)).has_value());
+  const auto cap = static_cast<int64_t>(WhatIfCache::kMaxEntries);
+  for (int64_t i = 0; i < cap; ++i) {
+    cache.Insert(Key(static_cast<uint64_t>(i), 0, 0), static_cast<double>(i));
+  }
+  EXPECT_EQ(cache.GetStats().entries, cap);
+  EXPECT_EQ(cache.GetStats().evictions, 0) << "the cap itself still fits";
 
-  // Any cost-model knob change yields a different epoch...
-  dw::DwConfig faster_dw = dw;
-  faster_dw.scan_mbps *= 2;
-  const uint64_t new_epoch = WhatIfCache::EpochOf(hv, faster_dw, transfer);
-  EXPECT_NE(new_epoch, cache.epoch());
-
-  // ...and entries stamped under the old epoch stop answering.
-  cache.SetEpoch(new_epoch);
-  EXPECT_FALSE(cache.Lookup(Key(1, 2, 3)).has_value());
-  EXPECT_EQ(cache.GetStats().entries, 0) << "stale entry dropped on lookup";
-
-  // Restoring the exact same config restores the exact same epoch (but the
-  // entry is already gone — invalidation is not undoable).
-  EXPECT_EQ(WhatIfCache::EpochOf(hv, dw, transfer),
-            WhatIfCache::EpochOf(hv, dw, transfer));
-}
-
-TEST_F(WhatIfCacheTest, LruEvictsAtByteBound) {
-  WhatIfCache cache(/*max_bytes=*/2 * WhatIfCache::kEntryBytes);
-  cache.SetEpoch(1);
-  cache.Insert(Key(1, 0, 0), 1.0);
-  cache.Insert(Key(2, 0, 0), 2.0);
-  EXPECT_EQ(cache.GetStats().evictions, 0);
-
-  // Touch key 1 so key 2 becomes the LRU tail.
-  ASSERT_TRUE(cache.Lookup(Key(1, 0, 0)).has_value());
-
-  cache.Insert(Key(3, 0, 0), 3.0);
+  // One insert past the cap drops every resident entry, counted as
+  // evictions, and keeps only the newcomer.
+  cache.Insert(Key(static_cast<uint64_t>(cap), 0, 0), -1.0);
   const WhatIfCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.evictions, 1);
-  EXPECT_EQ(stats.entries, 2);
-  EXPECT_LE(stats.bytes, cache.max_bytes());
-  EXPECT_TRUE(cache.Lookup(Key(1, 0, 0)).has_value()) << "recently touched";
-  EXPECT_TRUE(cache.Lookup(Key(3, 0, 0)).has_value()) << "newest";
-  EXPECT_FALSE(cache.Lookup(Key(2, 0, 0)).has_value()) << "LRU tail evicted";
-
-  // Overwriting an existing key is an update, not an insert + eviction.
-  cache.Insert(Key(3, 0, 0), 30.0);
-  EXPECT_EQ(cache.GetStats().evictions, 1);
-  EXPECT_EQ(*cache.Lookup(Key(3, 0, 0)), 30.0);
+  EXPECT_EQ(stats.evictions, cap);
+  EXPECT_EQ(stats.entries, 1);
+  EXPECT_FALSE(cache.Lookup(Key(0, 0, 0)).has_value());
+  EXPECT_FALSE(cache.Lookup(Key(static_cast<uint64_t>(cap - 1), 0, 0))
+                   .has_value());
+  ASSERT_TRUE(cache.Lookup(Key(static_cast<uint64_t>(cap), 0, 0)).has_value());
+  EXPECT_EQ(*cache.Lookup(Key(static_cast<uint64_t>(cap), 0, 0)), -1.0);
 }
 
 TEST_F(WhatIfCacheTest, WarmProbeIsByteIdenticalToColdProbe) {
@@ -175,19 +151,18 @@ TEST_F(WhatIfCacheTest, WarmProbeIsByteIdenticalToColdProbe) {
   const std::vector<View> set = {ViewOf(q1, OpKind::kUdf, 1),
                                  ViewOf(q2, OpKind::kJoin, 2)};
 
-  // Reference: no cache anywhere (the legacy probe path).
-  tuner::BenefitAnalyzer uncached(&optimizer_, 3, 0.6);
-  ASSERT_TRUE(uncached.SetWindow(window).ok());
-  auto reference = uncached.PerQueryBenefit(set, tuner::Placement::kBothStores);
+  // Reference: an analyzer with its own private (cold) memo.
+  tuner::BenefitAnalyzer standalone(&optimizer_, 3, 0.6);
+  ASSERT_TRUE(standalone.SetWindow(window).ok());
+  auto reference =
+      standalone.PerQueryBenefit(set, tuner::Placement::kBothStores);
   ASSERT_TRUE(reference.ok());
 
   WhatIfCache cache;
-  cache.SetEpoch(WhatIfCache::EpochOf(hv::HvConfig{}, dw::DwConfig{},
-                                      transfer::TransferConfig{}));
 
-  // Cold pass fills the cache; a fresh analyzer sharing the cache (its
-  // private memo empty, as after a reorg) must answer purely from cache
-  // hits with bit-identical benefits.
+  // Cold pass fills the memo; a fresh analyzer sharing it (its row memo
+  // empty, as after a reorg) must answer purely from probe-level hits
+  // with bit-identical benefits.
   tuner::BenefitAnalyzer cold(&optimizer_, 3, 0.6, &cache);
   ASSERT_TRUE(cold.SetWindow(window).ok());
   auto cold_benefits = cold.PerQueryBenefit(set, tuner::Placement::kBothStores);
@@ -216,6 +191,130 @@ TEST_F(WhatIfCacheTest, WarmProbeIsByteIdenticalToColdProbe) {
                           sizeof(double)),
               0)
         << "query " << i;
+  }
+}
+
+/// Variant-level exactness: the memoized what-if path (`WhatIfCost` with a
+/// memo) must return bit-identical totals to the plain path for every
+/// catalog shape the tuner probes with — same catalog in both stores,
+/// single-store, empty, and two genuinely different catalogs — on both
+/// the miss (first probe) and hit (repeat probe) sides.
+class WhatIfCacheVariantTest : public WhatIfCacheTest {
+ protected:
+  WhatIfCacheVariantTest() : empty_(kTiB) {
+    // Harvest realistic opportunistic views from a few executed queries
+    // (the same way the tuner's candidate pool is built).
+    const char* topics[] = {"c%", "d%", "m%"};
+    uint64_t next_id = 1;
+    for (int q = 0; q < 3; ++q) {
+      auto plan = *testing_util::MakeAnalystPlan(
+          &PaperCatalog(), "s" + std::to_string(q), topics[q], 0.1,
+          /*dw_udfs=*/true);
+      hv::HvStore store(hv::HvConfig{}, kTiB * 100);
+      auto exec = store.Execute(plan.root(), q, 0, &next_id,
+                                plan.signature());
+      EXPECT_TRUE(exec.ok()) << exec.status().ToString();
+      for (View& v : exec->produced_views) views_.push_back(std::move(v));
+      queries_.push_back(std::move(plan));
+    }
+  }
+
+  views::ViewCatalog CatalogOf(const std::vector<View>& views) const {
+    views::ViewCatalog catalog(kTiB * 100);
+    for (const View& v : views) EXPECT_TRUE(catalog.AddUnchecked(v).ok());
+    return catalog;
+  }
+
+  views::ViewCatalog empty_;
+  std::vector<plan::Plan> queries_;
+  std::vector<View> views_;
+};
+
+TEST_F(WhatIfCacheVariantTest, MemoTotalsMatchThePlainPathExactly) {
+  // Verification off: the memo path only runs when probes skip the
+  // per-plan verifier (ctest pins MISO_VERIFY=1, which would bypass it).
+  verify::ScopedVerification off(false);
+  ASSERT_GE(views_.size(), 2u);
+  const views::ViewCatalog hypothetical = CatalogOf(views_);
+  const views::ViewCatalog first = CatalogOf({views_[0]});
+  const views::ViewCatalog second = CatalogOf({views_[1]});
+
+  WhatIfCache memo;
+  for (const plan::Plan& q : queries_) {
+    struct Shape {
+      const char* name;
+      const views::ViewCatalog* dw;
+      const views::ViewCatalog* hv;
+    };
+    // Every catalog shape the benefit analyzer produces, plus genuinely
+    // different catalogs per store (exercises the combined rewrite).
+    const Shape shapes[] = {
+        {"both stores, same catalog", &hypothetical, &hypothetical},
+        {"dw only", &hypothetical, &empty_},
+        {"hv only", &empty_, &hypothetical},
+        {"empty design", &empty_, &empty_},
+        {"different catalogs", &first, &second},
+    };
+    for (const Shape& shape : shapes) {
+      SCOPED_TRACE(std::string(q.query_name()) + ": " + shape.name);
+      auto plain = optimizer_.WhatIfCost(q, *shape.dw, *shape.hv);
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+      // Miss side: first probe of this shape through the memo.
+      auto miss = optimizer_.WhatIfCost(q, *shape.dw, *shape.hv, &memo);
+      ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+      EXPECT_EQ(*plain, *miss);
+      // Hit side: a repeat probe resolves every variant from the memo.
+      auto hit = optimizer_.WhatIfCost(q, *shape.dw, *shape.hv, &memo);
+      ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+      EXPECT_EQ(*plain, *hit);
+    }
+  }
+}
+
+TEST_F(WhatIfCacheVariantTest, VariantsKeyOnContentNotViewIds) {
+  verify::ScopedVerification off(false);
+  obs::ScopedMetrics metrics(true);
+  // Two catalogs built independently from the same views (fresh objects,
+  // re-numbered ids) rewrite into variants that differ only in ViewScan
+  // ids, which no cost reads: the second catalog's probes must reuse the
+  // first's variant entries (no new split enumeration) and return the
+  // same answers.
+  std::vector<View> renumbered = views_;
+  for (size_t i = 0; i < renumbered.size(); ++i) {
+    renumbered[i].id = 1000 + i;
+  }
+  const views::ViewCatalog a = CatalogOf(views_);
+  const views::ViewCatalog b = CatalogOf(renumbered);
+
+  obs::Counter* splits =
+      obs::Metrics().GetCounter(obs::names::kSplitsEnumerated);
+  WhatIfCache memo;
+  for (const plan::Plan& q : queries_) {
+    auto via_a = optimizer_.WhatIfCost(q, a, a, &memo);
+    const int64_t splits_after_a = splits->value();
+    auto via_b = optimizer_.WhatIfCost(q, b, b, &memo);
+    ASSERT_TRUE(via_a.ok() && via_b.ok());
+    EXPECT_EQ(splits->value(), splits_after_a) << q.query_name();
+    EXPECT_EQ(*via_a, *via_b);
+    auto plain = optimizer_.WhatIfCost(q, a, a);
+    ASSERT_TRUE(plain.ok());
+    EXPECT_EQ(*plain, *via_a);
+  }
+  EXPECT_GT(splits->value(), 0) << "the first catalog's probes must solve";
+}
+
+TEST_F(WhatIfCacheVariantTest, MemoPathDefersToVerifiedBuilds) {
+  // Under verification (the ctest default) the memo overload must behave
+  // exactly like the plain overload — the verified path re-checks every
+  // winning probe plan, which a memo hit could not.
+  verify::ScopedVerification on(true);
+  const views::ViewCatalog hypothetical = CatalogOf(views_);
+  WhatIfCache memo;
+  for (const plan::Plan& q : queries_) {
+    auto plain = optimizer_.WhatIfCost(q, hypothetical, hypothetical);
+    auto gated = optimizer_.WhatIfCost(q, hypothetical, hypothetical, &memo);
+    ASSERT_TRUE(plain.ok() && gated.ok());
+    EXPECT_EQ(*plain, *gated);
   }
 }
 

@@ -1,7 +1,8 @@
-// The what-if cache contract (docs/DESIGN.md §11): caching is exact. A
+// The what-if memo contract (docs/DESIGN.md §11): memoization is exact. A
 // full simulated run — every per-query record, the TTI summary, the
-// resource ticks, and the decision trace — is byte-identical with the
-// cache on or off, and, cache-warm, across MISO_THREADS in {1, 2, 8}.
+// resource ticks, and the decision trace — is byte-identical whether or
+// not probes go through the memo's variant level (verification off vs on),
+// and across MISO_THREADS in {1, 2, 8}.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "obs/trace.h"
 #include "sim/report_io.h"
 #include "sim/simulator.h"
+#include "verify/verify_gate.h"
 
 namespace miso::sim {
 namespace {
@@ -48,27 +50,34 @@ void ExpectByteIdentical(const RunReport& a, const RunReport& b) {
   EXPECT_EQ(a.Tti(), b.Tti());
 }
 
-TEST(WhatIfCacheDeterminismTest, CacheOnAndOffAreByteIdentical) {
+TEST(WhatIfCacheDeterminismTest, MemoRunMatchesVerifiedRunExactly) {
+  // ctest pins MISO_VERIFY=1, under which every what-if probe bypasses
+  // the memo's variant level. The shipped (verification-off) run goes
+  // through it for every reorganization; both runs must agree byte for
+  // byte.
   SimConfig config;
   config.variant = SystemVariant::kMsMiso;
 
-  SimConfig cached = config;
-  cached.whatif_cache = true;
-  SimConfig uncached = config;
-  uncached.whatif_cache = false;
-
-  const TracedReport with_cache = TracedRun(cached, /*threads=*/1);
-  const TracedReport without_cache = TracedRun(uncached, /*threads=*/1);
-  ASSERT_FALSE(with_cache.trace.empty());
-  ExpectByteIdentical(with_cache.report, without_cache.report);
-  EXPECT_EQ(with_cache.trace, without_cache.trace);
+  TracedReport verified;
+  {
+    verify::ScopedVerification on(true);
+    verified = TracedRun(config, /*threads=*/2);
+  }
+  TracedReport shipped;
+  {
+    verify::ScopedVerification off(false);
+    shipped = TracedRun(config, /*threads=*/2);
+  }
+  ASSERT_FALSE(shipped.trace.empty());
+  ExpectByteIdentical(verified.report, shipped.report);
+  EXPECT_EQ(ReportToJson(verified.report), ReportToJson(shipped.report));
+  EXPECT_EQ(verified.trace, shipped.trace);
 }
 
 TEST(WhatIfCacheDeterminismTest,
      CachedRunIsByteIdenticalAcrossThreadCounts) {
   SimConfig config;
   config.variant = SystemVariant::kMsMiso;
-  config.whatif_cache = true;
 
   const TracedReport one = TracedRun(config, 1);
   ASSERT_FALSE(one.trace.empty());
@@ -78,24 +87,6 @@ TEST(WhatIfCacheDeterminismTest,
     ExpectByteIdentical(one.report, many.report);
     EXPECT_EQ(one.trace, many.trace);
   }
-}
-
-TEST(WhatIfCacheDeterminismTest, TinyCacheStillExact) {
-  // A byte bound of two entries forces constant eviction; the cache then
-  // behaves as an always-cold cache, which must still be invisible in the
-  // outputs.
-  SimConfig config;
-  config.variant = SystemVariant::kMsMiso;
-  config.whatif_cache = true;
-  config.whatif_cache_bytes = 2 * optimizer::WhatIfCache::kEntryBytes;
-
-  SimConfig unbounded = config;
-  unbounded.whatif_cache_bytes = optimizer::WhatIfCache::kDefaultMaxBytes;
-
-  const TracedReport tiny = TracedRun(config, /*threads=*/2);
-  const TracedReport big = TracedRun(unbounded, /*threads=*/2);
-  ExpectByteIdentical(tiny.report, big.report);
-  EXPECT_EQ(tiny.trace, big.trace);
 }
 
 }  // namespace

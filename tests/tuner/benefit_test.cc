@@ -159,37 +159,42 @@ TEST_F(BenefitTest, JointBenefitOfSubstitutesIsSubAdditive) {
   EXPECT_LT(*both, *a + *b - 1.0) << "strongly negative interaction";
 }
 
-TEST_F(BenefitTest, SubsetReductionNeverChangesAPairRow) {
-  // The subset-reduction layer reads a pair's per-query benefit from the
-  // memoized single-view row when only one member is relevant to the
-  // query. It must be invisible in the results: the pair row computed
-  // with singles memoized first (reduction active) equals the row from a
-  // fresh analyzer that probes the pair directly.
+TEST_F(BenefitTest, PairRowFromSinglesProbesIsExact) {
+  // A probe's memo key fingerprints only the members relevant to the
+  // query, so when each query sees one member of a pair, the pair row is
+  // answered entirely by the single-view probes already memoized. That
+  // must be invisible in the results: the row equals the one a fresh
+  // analyzer computes by probing the pair directly.
   plan::Plan q1 = Query("q1", "c%");
   plan::Plan q2 = Query("q2", "d%");  // disjoint topic: only v2 relevant
   View v1 = UdfView(q1, 1);
   View v2 = UdfView(q2, 2);
 
-  BenefitAnalyzer memoized(&optimizer_, 3, 0.6);
+  optimizer::WhatIfCache memo;
+  BenefitAnalyzer memoized(&optimizer_, 3, 0.6, &memo);
   ASSERT_TRUE(memoized.SetWindow({q1, q2}).ok());
   ASSERT_TRUE(memoized.PerQueryBenefit({v1}, Placement::kBothStores).ok());
   ASSERT_TRUE(memoized.PerQueryBenefit({v2}, Placement::kBothStores).ok());
-  auto reduced = memoized.PerQueryBenefit({v1, v2}, Placement::kBothStores);
+  const int64_t misses_after_singles = memo.GetStats().misses;
+  auto from_singles =
+      memoized.PerQueryBenefit({v1, v2}, Placement::kBothStores);
+  EXPECT_EQ(memo.GetStats().misses, misses_after_singles)
+      << "every pair probe must hit a single-view entry";
 
   BenefitAnalyzer fresh(&optimizer_, 3, 0.6);
   ASSERT_TRUE(fresh.SetWindow({q1, q2}).ok());
   auto direct = fresh.PerQueryBenefit({v1, v2}, Placement::kBothStores);
 
-  ASSERT_TRUE(reduced.ok());
+  ASSERT_TRUE(from_singles.ok());
   ASSERT_TRUE(direct.ok());
-  ASSERT_EQ(reduced->size(), direct->size());
-  for (size_t i = 0; i < reduced->size(); ++i) {
-    EXPECT_EQ((*reduced)[i], (*direct)[i]) << "query " << i;
+  ASSERT_EQ(from_singles->size(), direct->size());
+  for (size_t i = 0; i < from_singles->size(); ++i) {
+    EXPECT_EQ((*from_singles)[i], (*direct)[i]) << "query " << i;
   }
-  // And the reduction actually had something to reduce: each view is
-  // relevant to exactly one of the two queries.
-  EXPECT_GT((*reduced)[0], 0.0);
-  EXPECT_GT((*reduced)[1], 0.0);
+  // And the singles had something to answer: each view is relevant to
+  // exactly one of the two queries.
+  EXPECT_GT((*from_singles)[0], 0.0);
+  EXPECT_GT((*from_singles)[1], 0.0);
 }
 
 TEST_F(BenefitTest, RelevantMaskMatchesPerQueryRelevance) {

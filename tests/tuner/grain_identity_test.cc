@@ -98,13 +98,17 @@ class GrainIdentityTest : public ::testing::Test {
     }
   }
 
-  Result<ReorgPlan> TuneOnce(ThreadPool* pool) {
-    optimizer_.set_thread_pool(pool);
+  static MisoTunerConfig Config() {
     MisoTunerConfig config;
     config.hv_storage_budget = 100 * kTiB;
     config.dw_storage_budget = 400 * kGiB;
     config.transfer_budget = 10 * kGiB;
-    MisoTuner tuner(&optimizer_, config);
+    return config;
+  }
+
+  Result<ReorgPlan> TuneOnce(ThreadPool* pool) {
+    optimizer_.set_thread_pool(pool);
+    MisoTuner tuner(&optimizer_, Config());
     auto plan = tuner.Tune(hv_, dw_, window_);
     optimizer_.set_thread_pool(nullptr);
     return plan;
@@ -145,19 +149,16 @@ TEST_F(GrainIdentityTest, TuningIsByteIdenticalAcrossThreadsAndGrains) {
 
 TEST_F(GrainIdentityTest, TuningIsIdenticalWithAndWithoutVerification) {
   // ctest pins MISO_VERIFY=1, under which what-if probes take the plain
-  // (per-probe verified) optimizer path. With verification off they take
-  // the WhatIfSession memo path instead — which must reach the very same
-  // reorganization. A second Tune through the same tuner re-answers every
-  // probe from the now-warm session memo, so it pins the hit side too.
+  // (per-probe verified) optimizer path. With verification off they go
+  // through the what-if memo's variant level instead — which must reach
+  // the very same reorganization. A second Tune through the same tuner
+  // re-answers every probe from the now-warm memo, so it pins the hit side
+  // too.
   auto verified = TuneOnce(nullptr);
   ASSERT_TRUE(verified.ok()) << verified.status().ToString();
 
   verify::ScopedVerification off(false);
-  MisoTunerConfig config;
-  config.hv_storage_budget = 100 * kTiB;
-  config.dw_storage_budget = 400 * kGiB;
-  config.transfer_budget = 10 * kGiB;
-  MisoTuner tuner(&optimizer_, config);
+  MisoTuner tuner(&optimizer_, Config());
   auto cold = tuner.Tune(hv_, dw_, window_);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   ExpectIdenticalReorg(*verified, *cold);
@@ -165,6 +166,34 @@ TEST_F(GrainIdentityTest, TuningIsIdenticalWithAndWithoutVerification) {
   auto warm = tuner.Tune(hv_, dw_, window_);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   ExpectIdenticalReorg(*verified, *warm);
+}
+
+TEST_F(GrainIdentityTest, PersistentMemoMatchesAFreshTunerPerCall) {
+  // A tuner keeps its what-if memo for its lifetime, as the engine's does
+  // across reorganizations. Over a cadence of sliding windows it must
+  // reach exactly the reorganizations a fresh, memo-cold tuner reaches
+  // for each window. Verification off, so probes also run through the
+  // variant level (MISO_VERIFY=1 bypasses it).
+  verify::ScopedVerification off(false);
+  constexpr size_t kWindow = 2;
+  MisoTuner persistent(&optimizer_, Config());
+  int calls = 0;
+  for (size_t start = 0; start + kWindow <= window_.size(); ++start) {
+    SCOPED_TRACE("window start " + std::to_string(start));
+    const std::vector<plan::Plan> window(
+        window_.begin() + static_cast<std::ptrdiff_t>(start),
+        window_.begin() + static_cast<std::ptrdiff_t>(start + kWindow));
+    MisoTuner fresh(&optimizer_, Config());
+    auto expected = fresh.Tune(hv_, dw_, window);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    auto actual = persistent.Tune(hv_, dw_, window);
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    ExpectIdenticalReorg(*expected, *actual);
+    ++calls;
+  }
+  EXPECT_GE(calls, 3);
+  EXPECT_GT(persistent.whatif_stats().hits, 0)
+      << "overlapping windows must reuse earlier calls' probes";
 }
 
 TEST_F(GrainIdentityTest, OptimizerCostsAreBitIdenticalAcrossGrains) {

@@ -1,11 +1,14 @@
 #include "tuner/miso_tuner.h"
 
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
 #include "hv/hv_store.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "tuner/baseline_tuners.h"
 
 namespace miso::tuner {
@@ -166,6 +169,40 @@ TEST_F(MisoTunerTest, TinyTransferBudgetBlocksMoves) {
   ASSERT_TRUE(plan.ok());
   EXPECT_TRUE(plan->move_to_dw.empty());
   EXPECT_TRUE(plan->move_to_hv.empty());
+}
+
+TEST_F(MisoTunerTest, WhatIfCountersReportEachTunesMemoDeltas) {
+  // The tuner owns its what-if memo for its lifetime, and every Tune
+  // reports the probe level's hit/miss deltas. A repeat Tune over the same
+  // window and designs is answered entirely by the memo.
+  obs::ScopedMetrics metrics(true);
+  ViewCatalog hv(100 * kTiB);
+  ViewCatalog dw(400 * kGiB);
+  const plan::Plan q1 = ExecuteAndHarvest("q1", "c%", /*dw_udfs=*/true, &hv);
+  const plan::Plan q2 = ExecuteAndHarvest("q2", "d%", /*dw_udfs=*/true, &hv);
+  MisoTuner tuner(&optimizer_, Config(100 * kTiB, 400 * kGiB, 10 * kGiB));
+  obs::Counter* hits =
+      obs::Metrics().GetCounter(obs::names::kWhatIfCacheHits);
+  obs::Counter* misses =
+      obs::Metrics().GetCounter(obs::names::kWhatIfCacheMisses);
+
+  for (int call = 0; call < 2; ++call) {
+    SCOPED_TRACE("call " + std::to_string(call));
+    const optimizer::WhatIfCache::Stats before = tuner.whatif_stats();
+    const int64_t hits_before = hits->value();
+    const int64_t misses_before = misses->value();
+    ASSERT_TRUE(tuner.Tune(hv, dw, {q1, q2, q1}).ok());
+    const optimizer::WhatIfCache::Stats after = tuner.whatif_stats();
+    EXPECT_EQ(hits->value() - hits_before, after.hits - before.hits);
+    EXPECT_EQ(misses->value() - misses_before, after.misses - before.misses);
+    if (call == 0) {
+      EXPECT_GT(after.misses, before.misses);
+    } else {
+      EXPECT_EQ(after.misses, before.misses);
+      EXPECT_GT(after.hits, before.hits);
+    }
+  }
+  EXPECT_EQ(tuner.whatif_stats().evictions, 0);
 }
 
 TEST_F(MisoTunerTest, LruTunerKeepsMostRecentlyUsed) {

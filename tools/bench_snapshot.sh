@@ -11,7 +11,7 @@
 # across snapshots, not absolute nanoseconds.
 #
 # A second snapshot ({"server": ...}, BENCH_server.json by default) covers
-# bench_server — session throughput and p99 session latency of the online
+# bench_server — session throughput and p95 session latency of the online
 # server's admission pipeline, online vs stop-the-world cadence, plus the
 # warm paper-workload replay family (plan cache x wave pipelining) and
 # the overload-protection family (BM_ServerOverloadShed: deadline
