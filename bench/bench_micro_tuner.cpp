@@ -20,9 +20,13 @@ namespace {
 using bench_util::Catalog;
 using bench_util::Workload;
 
+/// Args: {items, storage budget Bs, transfer budget Bt}. The {36, 400, 10}
+/// row is the DW phase of a `Tune` (Bd x Bt at 1 GiB units); {20, 4096, 0}
+/// is the HV phase after the DW phase spent all of Bt.
 void BM_KnapsackDp(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int64_t storage = state.range(1);
+  const int64_t transfer = state.range(2);
   Rng rng(42);
   std::vector<tuner::MKnapsackItem> items;
   for (int k = 0; k < n; ++k) {
@@ -34,17 +38,19 @@ void BM_KnapsackDp(benchmark::State& state) {
     items.push_back(item);
   }
   for (auto _ : state) {
-    auto solution = tuner::SolveMKnapsack(items, storage, 10);
+    auto solution = tuner::SolveMKnapsack(items, storage, transfer);
     benchmark::DoNotOptimize(solution);
   }
-  state.SetLabel(std::to_string(n) + " items, B=" +
-                 std::to_string(storage));
+  state.SetLabel(std::to_string(n) + " items, B=" + std::to_string(storage) +
+                 ", T=" + std::to_string(transfer));
 }
 BENCHMARK(BM_KnapsackDp)
-    ->Args({16, 400})
-    ->Args({64, 400})
-    ->Args({64, 4096})
-    ->Args({256, 4096});
+    ->Args({16, 400, 10})
+    ->Args({64, 400, 10})
+    ->Args({64, 4096, 10})
+    ->Args({256, 4096, 10})
+    ->Args({36, 400, 10})
+    ->Args({20, 4096, 0});
 
 /// Shared fixture state: views harvested from the first eight workload
 /// queries plus the optimizer stack.

@@ -37,45 +37,22 @@ struct MKnapsackSolution {
 /// benefit are never packed; choices are reconstructed so the caller
 /// learns the exact packed set.
 ///
-/// Dispatches between two exactly-equivalent solvers (DESIGN.md §15):
-/// the dense O(n * B * T) grid DP when the (B+1) x (T+1) plane is small,
-/// and a sparse dominance-pruned frontier DP otherwise. Both return
-/// bit-identical solutions (same chosen set, same total down to the last
-/// ULP) — the sparse/dense split is a pure speed/memory decision, pinned
-/// by property tests.
+/// Runs a sparse dominance-pruned frontier DP (DESIGN.md §15.2). Per item
+/// prefix it keeps only the non-dominated (storage, transfer, value)
+/// states — a state is dropped when another uses no more of either budget
+/// and achieves at least its value — with a suffix-slack clamp that
+/// collapses a budget dimension entirely once the remaining items cannot
+/// overflow it (the common tuner regime: Bd or Bh far above the candidate
+/// bytes). Memory and time scale with the frontier, not the budget grid,
+/// so budgets up to INT64_MAX are fine. The result is bit-identical to
+/// the dense O(n * B * T) grid DP over the same recurrences (same chosen
+/// set, same total down to the last ULP), pinned by property tests
+/// against that DP.
 ///
 /// Errors on negative budgets or items with negative weights.
 Result<MKnapsackSolution> SolveMKnapsack(
     const std::vector<MKnapsackItem>& items, int64_t storage_budget_units,
     int64_t transfer_budget_units);
-
-/// The dense rolling-row grid DP. Exposed for the equivalence property
-/// tests and benches; production code calls `SolveMKnapsack`. Allocates
-/// O(B * T) doubles plus one take-bit per (item, cell), so callers must
-/// keep the plane small — `SolveMKnapsack` dispatches away from it
-/// beyond `kDenseKnapsackPlaneLimit` cells.
-Result<MKnapsackSolution> SolveMKnapsackDense(
-    const std::vector<MKnapsackItem>& items, int64_t storage_budget_units,
-    int64_t transfer_budget_units);
-
-/// The sparse frontier DP (DESIGN.md §15). Per item prefix it keeps only
-/// the non-dominated (storage, transfer, value) states — a state is
-/// dropped when another uses no more of either budget and achieves at
-/// least its value — with a suffix-slack clamp that collapses a budget
-/// dimension entirely once the remaining items cannot overflow it (the
-/// common tuner regime: Bd or Bh far above the candidate bytes). Memory
-/// and time scale with the frontier, not the budget grid, so it handles
-/// budgets the dense plane could never allocate (including INT64_MAX).
-/// Exposed for the equivalence property tests and benches.
-Result<MKnapsackSolution> SolveMKnapsackSparse(
-    const std::vector<MKnapsackItem>& items, int64_t storage_budget_units,
-    int64_t transfer_budget_units);
-
-/// Plane-size threshold (in (B+1) x (T+1) cells) below which
-/// `SolveMKnapsack` uses the dense DP. At this size the dense arrays fit
-/// comfortably in L2 and the grid sweep beats frontier bookkeeping; above
-/// it the sparse solver wins on both time and memory.
-inline constexpr int64_t kDenseKnapsackPlaneLimit = 8192;
 
 /// Discretizes a byte size into budget units of `unit_bytes`, rounding up
 /// (a view never fits a budget it exceeds). Zero stays zero.

@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "dense_knapsack_oracle.h"
 
 namespace miso::tuner {
 namespace {
@@ -102,30 +103,14 @@ TEST(KnapsackTest, ZeroSizeItemsAlwaysFit) {
 
 // ---- Sparse/dense equivalence: same set, bit-identical total. -----------
 
-/// Both solvers must agree exactly — same chosen ids, total equal with
-/// EXPECT_EQ (no tolerance): the sparse frontier DP is specified as a
-/// drop-in for the dense grid, so `SolveMKnapsack`'s plane-size dispatch
-/// can never change a tuning decision.
-void ExpectSolversIdentical(const std::vector<MKnapsackItem>& items,
-                            int64_t b, int64_t t) {
-  auto dense = SolveMKnapsackDense(items, b, t);
-  auto sparse = SolveMKnapsackSparse(items, b, t);
-  ASSERT_TRUE(dense.ok());
-  ASSERT_TRUE(sparse.ok());
-  EXPECT_EQ(sparse->chosen_ids, dense->chosen_ids) << "b=" << b << " t=" << t;
-  EXPECT_EQ(sparse->total_benefit, dense->total_benefit);
-  EXPECT_EQ(sparse->storage_used, dense->storage_used);
-  EXPECT_EQ(sparse->transfer_used, dense->transfer_used);
-}
-
 TEST(KnapsackSparseTest, MatchesDenseOnDegenerateBudgets) {
   const std::vector<MKnapsackItem> items = {
       Item(0, 0, 0, 1.5), Item(1, 1, 0, 2.0), Item(2, 1, 1, 2.0),
       Item(3, 3, 2, -1.0), Item(4, 2, 1, 4.0)};
-  ExpectSolversIdentical(items, 0, 0);
-  ExpectSolversIdentical(items, 1, 0);
-  ExpectSolversIdentical(items, 0, 1);
-  ExpectSolversIdentical(items, 1, 1);
+  ExpectMatchesDenseOracle(items, 0, 0);
+  ExpectMatchesDenseOracle(items, 1, 0);
+  ExpectMatchesDenseOracle(items, 0, 1);
+  ExpectMatchesDenseOracle(items, 1, 1);
 }
 
 TEST(KnapsackSparseTest, HandlesBudgetsTheDensePlaneCannotAllocate) {
@@ -149,18 +134,10 @@ TEST(KnapsackSparseTest, TieBreakMatchesDenseSkipOnTie) {
   // choice, not merely the total.
   const std::vector<MKnapsackItem> items = {Item(0, 2, 0, 5.0),
                                             Item(1, 2, 0, 5.0)};
-  ExpectSolversIdentical(items, 2, 0);
-  auto dense = SolveMKnapsackDense(items, 2, 0);
+  ExpectMatchesDenseOracle(items, 2, 0);
+  auto dense = DenseMKnapsackOracle(items, 2, 0);
   ASSERT_TRUE(dense.ok());
   EXPECT_EQ(dense->chosen_ids, (std::vector<int>{0}));
-}
-
-TEST(KnapsackSparseTest, DispatchUsesDenseOnlyForSmallPlanes) {
-  // Pin the dispatch boundary so the tuner's own budgets keep exercising
-  // both solvers: the DW knapsack plane (401 x 11) stays dense, the HV
-  // plane (4097 x 11) goes sparse.
-  EXPECT_LE((400 + 1) * (10 + 1), kDenseKnapsackPlaneLimit);
-  EXPECT_GT((4096 + 1) * (10 + 1), kDenseKnapsackPlaneLimit);
 }
 
 // ---- Property: DP matches exhaustive search on random instances. -------

@@ -1,6 +1,7 @@
 // Property/stress tests for the tuner's packing machinery: randomized
 // small M-KNAPSACK instances are cross-checked against brute-force subset
-// enumeration (which is exact for n <= 12), and sparsification invariants
+// enumeration (which is exact for n <= 12), tuner-sized ones against the
+// dense grid DP oracle (bit for bit), and sparsification invariants
 // are exercised over randomized candidate sets. Seeds are fixed, so every
 // run replays the same instances.
 
@@ -8,12 +9,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <set>
 #include <vector>
 
 #include "../test_util.h"
+#include "dense_knapsack_oracle.h"
 #include "tuner/interaction.h"
 #include "tuner/knapsack.h"
 #include "tuner/sparsify.h"
@@ -123,12 +126,11 @@ TEST(KnapsackPropertyTest, MatchesBruteForceOnRandomInstances) {
 }
 
 TEST(KnapsackPropertyTest, SparseAndDenseSolversAreBitIdentical) {
-  // The dispatch in SolveMKnapsack is specified as a pure speed decision:
-  // on every instance the sparse frontier DP must return the exact chosen
+  // On every instance the sparse frontier DP must return the exact chosen
   // set and the exact total (EXPECT_EQ on doubles, no tolerance) of the
   // dense grid DP. Random instances plus the degenerate budgets 0, 1, and
-  // INT64_MAX (the latter solvable only sparsely, checked against brute
-  // force instead).
+  // INT64_MAX (the latter beyond the dense oracle, checked against the
+  // positive-benefit items instead).
   std::mt19937 rng(20260809);
   std::uniform_int_distribution<int> n_dist(0, 12);
   std::uniform_int_distribution<int64_t> storage_dist(0, 6);
@@ -158,21 +160,12 @@ TEST(KnapsackPropertyTest, SparseAndDenseSolversAreBitIdentical) {
                  std::to_string(n) + " B=" + std::to_string(storage_budget) +
                  " T=" + std::to_string(transfer_budget));
 
-    auto dense = SolveMKnapsackDense(items, storage_budget, transfer_budget);
-    auto sparse = SolveMKnapsackSparse(items, storage_budget,
-                                       transfer_budget);
-    ASSERT_TRUE(dense.ok()) << dense.status().ToString();
-    ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
-    EXPECT_EQ(sparse->chosen_ids, dense->chosen_ids);
-    EXPECT_EQ(sparse->total_benefit, dense->total_benefit);
-    EXPECT_EQ(sparse->storage_used, dense->storage_used);
-    EXPECT_EQ(sparse->transfer_used, dense->transfer_used);
+    ExpectMatchesDenseOracle(items, storage_budget, transfer_budget);
 
-    // Unbounded budgets: dense cannot allocate the plane, so validate the
-    // sparse result against brute force — it must pack exactly the
-    // positive-benefit items.
+    // Unbounded budgets: the dense oracle cannot allocate the plane, so
+    // the solver must pack exactly the positive-benefit items.
     const int64_t huge = std::numeric_limits<int64_t>::max();
-    auto unbounded = SolveMKnapsackSparse(items, huge, huge);
+    auto unbounded = SolveMKnapsack(items, huge, huge);
     ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
     std::vector<int> positives;
     double positive_total = 0;
@@ -184,6 +177,50 @@ TEST(KnapsackPropertyTest, SparseAndDenseSolversAreBitIdentical) {
     }
     EXPECT_EQ(unbounded->chosen_ids, positives);
     EXPECT_EQ(unbounded->total_benefit, positive_total);
+  }
+}
+
+TEST(KnapsackPropertyTest, MatchesDenseOracleAtTunerSizes) {
+  // The shapes MisoTuner::Tune solves: 16-64 (merged) candidates of up to
+  // 64 GiB each at 1 GiB units, transfer up to 10 units, some benefits
+  // <= 0. Budgets are the DW phase (Bd = 400, Bt = 10), the HV phase
+  // (Bh = 4096) with Bt spent or left, and 0/1 in each dimension. Every
+  // other instance rounds its benefits to multiples of 100, so equal-value
+  // packings exist and the skip-on-tie reconstruction is exercised too.
+  struct Budget {
+    int64_t storage;
+    int64_t transfer;
+  };
+  const Budget budgets[] = {{400, 10}, {4096, 0}, {4096, 10}, {0, 10},
+                            {1, 10},   {400, 0},  {400, 1},   {0, 0},
+                            {1, 1}};
+  std::mt19937 rng(20261020);
+  std::uniform_int_distribution<int> n_dist(16, 64);
+  std::uniform_int_distribution<int64_t> storage_dist(0, 64);
+  std::uniform_int_distribution<int64_t> transfer_dist(0, 10);
+  std::uniform_real_distribution<double> benefit_dist(-200.0, 1000.0);
+  std::bernoulli_distribution zero_transfer(0.3);  // §4.4.1 Case 2 items
+
+  for (int instance = 0; instance < 72; ++instance) {
+    const Budget budget = budgets[instance % std::size(budgets)];
+    const int n = n_dist(rng);
+    std::vector<MKnapsackItem> items;
+    items.reserve(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      MKnapsackItem item;
+      item.id = i;
+      item.storage_units = storage_dist(rng);
+      item.transfer_units = zero_transfer(rng) ? 0 : transfer_dist(rng);
+      item.benefit = benefit_dist(rng);
+      if (instance % 2 == 1) {
+        item.benefit = std::round(item.benefit / 100) * 100;
+      }
+      items.push_back(item);
+    }
+    SCOPED_TRACE("instance=" + std::to_string(instance) + " n=" +
+                 std::to_string(n) + " B=" + std::to_string(budget.storage) +
+                 " T=" + std::to_string(budget.transfer));
+    ExpectMatchesDenseOracle(items, budget.storage, budget.transfer);
   }
 }
 

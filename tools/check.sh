@@ -33,7 +33,11 @@
 # scaling floor: BM_FullOptimizeThreaded/2 real_time must stay within
 # 1.1x of BM_FullOptimizeThreaded/1 — adding a second worker to the
 # batched candidate-costing fan-out must never cost more than 10%, even
-# on single-core machines (docs/PERFORMANCE.md). Finally it asserts the
+# on single-core machines (docs/PERFORMANCE.md). It asserts the knapsack
+# floor: BM_KnapsackDp/64/400/10 real_time must stay within 4x of
+# BM_KnapsackDp/64/4096/10 — the solver's cost follows its frontier, not
+# the budget grid, so a 10x smaller storage budget must not make it
+# dearer by more than that. Finally it asserts the
 # server-throughput floor on the warm paper-workload replay: the plan
 # cache must not lose sessions/s against cache-off, and pipelined waves
 # must stay within 1.1x of serial on 1 thread (where speculation cannot
@@ -104,7 +108,7 @@ while [ "$#" -gt 0 ]; do
     --label) LABEL="$2"; shift 2 ;;
     --tidy-only) TIDY_ONLY=1; shift ;;
     -h|--help)
-      sed -n '2,78p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,80p' "$0" | sed 's/^# \{0,1\}//'
       exit 0 ;;
     *) echo "check.sh: unknown option '$1'" >&2; exit 2 ;;
   esac
@@ -290,6 +294,41 @@ if ratio > 1.1:
     sys.exit(f"check.sh: 2-thread optimize is {ratio:.2f}x the 1-thread "
              "time (> 1.10x budget) — parallelism is a regression; see "
              "docs/PERFORMANCE.md")
+EOF
+
+  # Knapsack floor, on the same Release build: a solver that walks the
+  # (B+1) x (T+1) budget grid pays ~25x more on the 401 x 11 plane than
+  # the frontier DP pays on the 10x larger 4097 x 11 one (same 64 items).
+  echo "== check.sh: knapsack floor (Release build)"
+  cmake --build "$PERF_BUILD_DIR" -j"$JOBS" --target bench_micro_tuner
+  KNAPSACK_JSON="$PERF_BUILD_DIR/knapsack_floor.json"
+  "$PERF_BUILD_DIR/bench/bench_micro_tuner" \
+      --benchmark_filter='^BM_KnapsackDp/64/(400|4096)/10$' \
+      --benchmark_out="$KNAPSACK_JSON" \
+      --benchmark_out_format=json >/dev/null
+  python3 - "$KNAPSACK_JSON" <<'EOF'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+times = {}
+for bench in doc["benchmarks"]:
+    if bench.get("run_type") == "aggregate":
+        continue
+    times[bench["name"]] = bench["real_time"]
+small = times.get("BM_KnapsackDp/64/400/10")
+large = times.get("BM_KnapsackDp/64/4096/10")
+if small is None or large is None:
+    sys.exit("check.sh: BM_KnapsackDp/64/400/10 or /64/4096/10 missing "
+             "from " + sys.argv[1])
+ratio = small / large
+print(f"== check.sh: BM_KnapsackDp 64 items B=400 / B=4096 real_time "
+      f"ratio = {ratio:.2f} ({small:.0f}ns / {large:.0f}ns)")
+if ratio > 4.0:
+    sys.exit(f"check.sh: the B=400 knapsack costs {ratio:.1f}x the B=4096 "
+             "one (> 4x budget) — the solver walks the budget grid; see "
+             "DESIGN.md section 15.2")
 EOF
 
   # Server-throughput gate, on the same Release build: the warm
